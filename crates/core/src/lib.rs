@@ -67,9 +67,9 @@ pub use global::{
 };
 pub use local::{
     local_optimize, local_optimize_checked, local_optimize_guarded, predict_move_gain,
-    CandidateRejects, LocalConfig, LocalReport, Ranker,
+    CandidateRejects, LocalConfig, LocalReport, RankContext, Ranker,
 };
 pub use lut::{RatioBounds, StageLuts};
 pub use moves::{apply_move, enumerate_moves, touched_drivers, Move, MoveConfig, Resize};
-pub use predictor::{DeltaLatencyModel, ModelKind, TrainConfig};
+pub use predictor::{CommittedNets, DeltaLatencyModel, ModelKind, TrainConfig};
 pub use replay::{replay_ledger, ReplayError};

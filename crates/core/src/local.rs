@@ -3,6 +3,7 @@
 //! top `R` in parallel worker threads, accept what the golden timer
 //! confirms, repeat until the predictor sees no improving move.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use clk_liberty::{CornerId, Library};
@@ -17,8 +18,11 @@ use crate::fault::{
     FaultCtx, FaultKind, FaultSite, FlowError, PhaseBudget, PhaseProgress, RecoveryAction, TreeTxn,
 };
 use crate::moves::{apply_move, enumerate_moves, touched_drivers, Move, MoveConfig};
-use crate::predictor::{move_features_with_sides, DeltaLatencyModel, Topo};
+use crate::predictor::{corners_of, CommittedNets, DeltaLatencyModel, Topo};
 use clk_delay::WireModel;
+
+/// Moves ranked between two deadline polls of the ranking sweep.
+const RANK_BLOCK: usize = 64;
 
 /// How candidate moves are ranked before golden verification — the ML
 /// predictor in the paper's flow, with the analytical and random rankers
@@ -54,11 +58,12 @@ pub struct LocalConfig {
     /// Budget of golden-timer evaluations (fair-comparison knob for the
     /// Fig. 8 baselines; effectively unlimited by default).
     pub max_golden_evals: usize,
-    /// Worker threads evaluating candidates per batch; `0` = one per
-    /// available core. QoR is byte-identical for every value: workers
-    /// only read the committed tree and score private clones, results
-    /// are scattered back by candidate index, and the commit decision
-    /// is taken sequentially in slot order.
+    /// Worker threads ranking the moves of an iteration and evaluating
+    /// the candidates of a batch; `0` = one per available core. QoR is
+    /// byte-identical for every value: workers only read the committed
+    /// tree (and its [`RankContext`]) and score private clones, results
+    /// are scattered back by move or candidate index, and the commit
+    /// decision is taken sequentially in slot order.
     pub workers: usize,
 }
 
@@ -338,11 +343,20 @@ pub fn local_optimize_checked(
             break;
         }
         // ---- rank all candidates by predicted variation reduction ----
+        // The ranking workers read one per-iteration context. The
+        // deadline is polled here, on the coordinator, before every
+        // block of RANK_BLOCK moves after the first — the same move
+        // indices at any worker count, so a poll-counted trip cuts at
+        // the same move.
         let predict_prof = obs.prof_scope("local.predict");
-        let mut scored: Vec<(f64, Move)> = Vec::with_capacity(moves.len());
-        let mut subtree_cache: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        for (mv_no, mv) in moves.into_iter().enumerate() {
-            if mv_no % 64 == 0 && mv_no > 0 && ctx.out_of_time() {
+        let rank_ctx = match ranker {
+            Ranker::Random(_) => None,
+            _ => Some(RankContext::new(tree, lib, &timings, &pairs, &alphas)),
+        };
+        let mut gains: Vec<f64> = Vec::with_capacity(moves.len());
+        for (block_no, block) in moves.chunks(RANK_BLOCK).enumerate() {
+            let mv_no = block_no * RANK_BLOCK;
+            if mv_no > 0 && ctx.out_of_time() {
                 ctx.record_interrupt(
                     "local",
                     RecoveryAction::Degrade,
@@ -354,24 +368,17 @@ pub fn local_optimize_checked(
                 interrupted = true;
                 break 'outer;
             }
-            let gain = match ranker {
-                Ranker::Random(_) => (xorshift() % 1_000) as f64,
-                _ => predict_move_gain(
-                    tree,
-                    lib,
-                    &timings,
-                    &pairs,
-                    &alphas,
-                    &mv,
-                    &cfg.move_cfg,
-                    ranker,
-                    &mut subtree_cache,
-                ),
-            };
-            if gain > cfg.min_predicted_gain_ps {
-                scored.push((gain, mv));
+            match &rank_ctx {
+                Some(rc) => gains.extend(rc.gains(block, &cfg.move_cfg, ranker, workers)),
+                None => gains.extend(block.iter().map(|_| (xorshift() % 1_000) as f64)),
             }
         }
+        drop(rank_ctx);
+        let mut scored: Vec<(f64, Move)> = gains
+            .into_iter()
+            .zip(moves)
+            .filter(|&(gain, _)| gain > cfg.min_predicted_gain_ps)
+            .collect();
         drop(predict_prof);
         iter_span.record("predicted_positive", scored.len() as u64);
         obs.count("local.predicted_positive", scored.len() as u64);
@@ -454,6 +461,7 @@ pub fn local_optimize_checked(
                     .map(|w| {
                         let tree_ref: &ClockTree = tree;
                         let prof = prof.clone();
+                        let obs = obs.clone();
                         // clk-analyze: allow(A101) PROF_STACK is thread_local: each worker roots its own attribution subtree, no cross-thread sharing
                         scope.spawn(move || {
                             let mut out: Stripe =
@@ -481,6 +489,7 @@ pub fn local_optimize_checked(
                                         }
                                         let sta_prof = prof.scope("golden_sta");
                                         let analyses = Timer::golden()
+                                            .with_obs(obs.clone())
                                             .try_analyze_all_incremental(
                                                 &trial,
                                                 lib,
@@ -743,10 +752,222 @@ pub fn local_optimize_checked(
     Ok(report)
 }
 
+/// Sinks below each node (the node itself included when it is a sink),
+/// in [`ClockTree::sinks`] order; nodes without sinks below are absent.
+type SinkIndex = BTreeMap<NodeId, Vec<NodeId>>;
+
+fn sink_index(tree: &ClockTree) -> SinkIndex {
+    let mut index = SinkIndex::new();
+    for s in tree.sinks() {
+        let mut cur = Some(s);
+        while let Some(n) = cur {
+            index.entry(n).or_default().push(s);
+            cur = tree.parent(n);
+        }
+    }
+    index
+}
+
+/// Everything ranking reads that depends only on the committed tree,
+/// built once per local iteration and shared read-only by the ranking
+/// workers: the fast estimates of every driver net
+/// ([`CommittedNets`]), the sinks below every node, and the sink pairs
+/// indexed by sink with their pre-move skews and variation.
+#[derive(Debug)]
+pub struct RankContext<'a> {
+    nets: CommittedNets<'a>,
+    pairs: &'a [SinkPair],
+    alphas: &'a [f64],
+    sinks_under: Cow<'a, SinkIndex>,
+    /// Ascending indices into `pairs` of the pairs each sink is in.
+    pairs_of_sink: BTreeMap<NodeId, Vec<usize>>,
+    /// Per pair: its skew at every corner and its worst normalized
+    /// cross-corner variation, both before any move.
+    before: Vec<(Vec<f64>, f64)>,
+}
+
+impl<'a> RankContext<'a> {
+    /// Builds the context of `tree` timed as `timings` (one analysis per
+    /// corner), scoring `pairs` under `alphas`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a driver or a paired sink was not timed.
+    pub fn new(
+        tree: &'a ClockTree,
+        lib: &'a Library,
+        timings: &'a [CornerTiming],
+        pairs: &'a [SinkPair],
+        alphas: &'a [f64],
+    ) -> Self {
+        let nets = CommittedNets::new(tree, lib, timings);
+        Self::with_parts(nets, timings, pairs, alphas, Cow::Owned(sink_index(tree)))
+    }
+
+    fn with_parts(
+        nets: CommittedNets<'a>,
+        timings: &[CornerTiming],
+        pairs: &'a [SinkPair],
+        alphas: &'a [f64],
+        sinks_under: Cow<'a, SinkIndex>,
+    ) -> Self {
+        let mut pairs_of_sink: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+        for (i, p) in pairs.iter().enumerate() {
+            pairs_of_sink.entry(p.a).or_default().push(i);
+            pairs_of_sink.entry(p.b).or_default().push(i);
+        }
+        let n_corners = timings.len();
+        let before = pairs
+            .iter()
+            .map(|p| {
+                let skew: Vec<f64> = timings
+                    .iter()
+                    .map(|t| t.arrival_ps(p.a) - t.arrival_ps(p.b))
+                    .collect();
+                let mut v: f64 = 0.0;
+                for k in 0..n_corners {
+                    for k2 in (k + 1)..n_corners {
+                        v = v.max((alphas[k] * skew[k] - alphas[k2] * skew[k2]).abs());
+                    }
+                }
+                (skew, v)
+            })
+            .collect();
+        RankContext {
+            nets,
+            pairs,
+            alphas,
+            sinks_under,
+            pairs_of_sink,
+            before,
+        }
+    }
+
+    /// Predicted reduction of the variation sum for one move: apply the
+    /// predicted per-subtree latency deltas to the affected sinks and
+    /// re-score the pairs those sinks belong to.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`Ranker::Random`], which predicts nothing.
+    pub fn gain(&self, mv: &Move, mcfg: &MoveConfig, ranker: Ranker<'_>) -> f64 {
+        let per_corner = self.nets.features(mv, mcfg);
+        let n_corners = per_corner.len();
+        // per-sink deltas, resolved from per-corner (subtree root,
+        // delta ps) impact sets
+        let mut sink_delta: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();
+        for (k, (features, detail)) in per_corner.into_iter().enumerate() {
+            let corner = CornerId(k);
+            let primary = match ranker {
+                Ranker::Ml(model) => model.predict(corner, &features),
+                Ranker::Analytic(topo, wm) => {
+                    let idx = match (topo, wm) {
+                        (Topo::Flute, WireModel::Elmore) => 0,
+                        (Topo::Flute, WireModel::D2m) => 1,
+                        (Topo::SingleTrunk, WireModel::Elmore) => 2,
+                        (Topo::SingleTrunk, WireModel::D2m) => 3,
+                    };
+                    features[idx]
+                }
+                // clk-analyze: allow(A005) unreachable by construction: random never predicts
+                Ranker::Random(_) => unreachable!("random never predicts"),
+            };
+            // keep the analytical *differential* structure between the
+            // children, shifted so the mean matches the (calibrated)
+            // primary prediction
+            let correction = primary - detail.primary_delta;
+            let mut imp: Vec<(NodeId, f64)> = detail
+                .per_child
+                .iter()
+                .map(|&(c, d)| (c, d + correction))
+                .collect();
+            if imp.is_empty() {
+                imp.push((mv.primary_node(), primary));
+            }
+            imp.extend(detail.side_effects);
+            for (root, delta) in imp {
+                if delta == 0.0 {
+                    continue;
+                }
+                for &s in self.sinks_under.get(&root).into_iter().flatten() {
+                    sink_delta.entry(s).or_insert_with(|| vec![0.0; n_corners])[k] += delta;
+                }
+            }
+        }
+        // re-score the affected pairs, in pair order
+        let mut touched: Vec<usize> = sink_delta
+            .keys()
+            .flat_map(|s| self.pairs_of_sink.get(s).into_iter().flatten().copied())
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let alphas = self.alphas;
+        let mut gain = 0.0;
+        for i in touched {
+            let p = &self.pairs[i];
+            let (skew, v_before) = &self.before[i];
+            let da = sink_delta.get(&p.a);
+            let db = sink_delta.get(&p.b);
+            let d = |m: Option<&Vec<f64>>, kk: usize| m.map_or(0.0, |v| v[kk]);
+            let mut v_after: f64 = 0.0;
+            for k in 0..n_corners {
+                for k2 in (k + 1)..n_corners {
+                    let ns_k = skew[k] + d(da, k) - d(db, k);
+                    let ns_k2 = skew[k2] + d(da, k2) - d(db, k2);
+                    v_after = v_after.max((alphas[k] * ns_k - alphas[k2] * ns_k2).abs());
+                }
+            }
+            gain += v_before - v_after;
+        }
+        gain
+    }
+
+    /// [`RankContext::gain`] of every move, striped over `workers`
+    /// scoped threads as the candidate-evaluation pool is: worker `w`
+    /// ranks moves `w`, `w + W`, … (the calling thread takes stripe 0),
+    /// and the gains are gathered by move index, so the result is the
+    /// same for every worker count.
+    pub fn gains(
+        &self,
+        moves: &[Move],
+        mcfg: &MoveConfig,
+        ranker: Ranker<'_>,
+        workers: usize,
+    ) -> Vec<f64> {
+        let n_workers = workers.min(moves.len()).max(1);
+        let stripe = |w: usize| -> Vec<f64> {
+            (w..moves.len())
+                .step_by(n_workers)
+                .map(|i| self.gain(&moves[i], mcfg, ranker))
+                .collect()
+        };
+        let stripes: Vec<Vec<f64>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..n_workers)
+                .map(|w| scope.spawn(move || stripe(w)))
+                .collect();
+            let mut stripes = vec![stripe(0)];
+            for h in handles {
+                stripes.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            stripes
+        });
+        let mut gains = vec![0.0; moves.len()];
+        for (w, stripe) in stripes.into_iter().enumerate() {
+            for (j, g) in stripe.into_iter().enumerate() {
+                gains[w + j * n_workers] = g;
+            }
+        }
+        gains
+    }
+}
+
 /// Predicted reduction of the variation sum for one move: apply the
 /// predicted per-subtree latency deltas to the affected sinks and re-score
 /// the affected pairs. Public so experiments (Fig. 6) can rank moves with
-/// any [`Ranker`] outside the full Algorithm-2 loop.
+/// any [`Ranker`] outside the full Algorithm-2 loop; ranking many moves
+/// on one tree is cheaper through one [`RankContext`]. `subtree_cache`
+/// holds the sinks below every node of `tree`: it is filled on the first
+/// call and reused by later calls on the same tree.
 #[allow(clippy::too_many_arguments)]
 pub fn predict_move_gain(
     tree: &ClockTree,
@@ -759,85 +980,12 @@ pub fn predict_move_gain(
     ranker: Ranker<'_>,
     subtree_cache: &mut BTreeMap<NodeId, Vec<NodeId>>,
 ) -> f64 {
-    let n_corners = timings.len();
-    // per-corner impact sets: (subtree root, delta ps)
-    let mut impacts: Vec<Vec<(NodeId, f64)>> = Vec::with_capacity(n_corners);
-    for (k, timing) in timings.iter().enumerate() {
-        let corner = CornerId(k);
-        let (features, detail) = move_features_with_sides(tree, lib, corner, timing, mv, mcfg);
-        let primary = match ranker {
-            Ranker::Ml(model) => model.predict(corner, &features),
-            Ranker::Analytic(topo, wm) => {
-                let idx = match (topo, wm) {
-                    (Topo::Flute, WireModel::Elmore) => 0,
-                    (Topo::Flute, WireModel::D2m) => 1,
-                    (Topo::SingleTrunk, WireModel::Elmore) => 2,
-                    (Topo::SingleTrunk, WireModel::D2m) => 3,
-                };
-                features[idx]
-            }
-            // clk-analyze: allow(A005) unreachable by construction: random never predicts
-            Ranker::Random(_) => unreachable!("random never predicts"),
-        };
-        // keep the analytical *differential* structure between the
-        // children, shifted so the mean matches the (calibrated) primary
-        // prediction
-        let correction = primary - detail.primary_delta;
-        let mut imp: Vec<(NodeId, f64)> = detail
-            .per_child
-            .iter()
-            .map(|&(c, d)| (c, d + correction))
-            .collect();
-        if imp.is_empty() {
-            imp.push((mv.primary_node(), primary));
-        }
-        imp.extend(detail.side_effects);
-        impacts.push(imp);
+    if subtree_cache.is_empty() {
+        *subtree_cache = sink_index(tree);
     }
-    // resolve to per-sink deltas
-    let mut sink_delta: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();
-    for (k, imp) in impacts.iter().enumerate() {
-        for &(root, delta) in imp {
-            if delta == 0.0 {
-                continue;
-            }
-            let sinks = subtree_cache.entry(root).or_insert_with(|| {
-                tree.sinks()
-                    .filter(|&s| tree.is_descendant(s, root))
-                    .collect()
-            });
-            for &s in sinks.iter() {
-                sink_delta.entry(s).or_insert_with(|| vec![0.0; n_corners])[k] += delta;
-            }
-        }
-    }
-    if sink_delta.is_empty() {
-        return 0.0;
-    }
-    // re-score affected pairs
-    let mut gain = 0.0;
-    for p in pairs {
-        let da = sink_delta.get(&p.a);
-        let db = sink_delta.get(&p.b);
-        if da.is_none() && db.is_none() {
-            continue;
-        }
-        let mut v_before: f64 = 0.0;
-        let mut v_after: f64 = 0.0;
-        for k in 0..n_corners {
-            for k2 in (k + 1)..n_corners {
-                let s_k = timings[k].arrival_ps(p.a) - timings[k].arrival_ps(p.b);
-                let s_k2 = timings[k2].arrival_ps(p.a) - timings[k2].arrival_ps(p.b);
-                v_before = v_before.max((alphas[k] * s_k - alphas[k2] * s_k2).abs());
-                let d = |m: Option<&Vec<f64>>, kk: usize| m.map_or(0.0, |v| v[kk]);
-                let ns_k = s_k + d(da, k) - d(db, k);
-                let ns_k2 = s_k2 + d(da, k2) - d(db, k2);
-                v_after = v_after.max((alphas[k] * ns_k - alphas[k2] * ns_k2).abs());
-            }
-        }
-        gain += v_before - v_after;
-    }
-    gain
+    let nets = CommittedNets::for_move(tree, lib, corners_of(timings), mv);
+    RankContext::with_parts(nets, timings, pairs, alphas, Cow::Borrowed(&*subtree_cache))
+        .gain(mv, mcfg, ranker)
 }
 
 #[cfg(test)]

@@ -2,13 +2,21 @@
 //! {FLUTE, single-trunk Steiner} × {Elmore, D2M}, and machine-learning
 //! models (ANN / SVM-RBF / HSM) trained per corner on artificial
 //! testcases to close the gap to the golden timer.
+//!
+//! The four analytical estimates share almost all of their work:
+//! routing depends on neither the corner nor the wire model, and one
+//! extraction per corner yields both wire models' delays. A move's
+//! changed nets are therefore routed once per topology and extracted
+//! once per (corner, topology), and the committed tree's own nets — the
+//! "before" side of every estimate — come from a [`CommittedNets`]
+//! built once per tree.
 
 use clk_delay::{peri_slew, NetTiming, RcTree, WireModel};
 use clk_geom::{um_to_dbu, Point, Rect};
 use clk_liberty::{CellId, CornerId, Library};
 use clk_ml::{Hsm, LsSvm, Mlp, MlpConfig, Regressor, StandardScaler};
 use clk_netlist::{ClockTree, Floorplan, NodeId, NodeKind};
-use clk_route::{rsmt, single_trunk};
+use clk_route::{rsmt, single_trunk, WireTree};
 use clk_sta::{CornerTiming, Timer};
 
 use crate::moves::{apply_move, enumerate_moves, Move, MoveConfig, Resize};
@@ -22,49 +30,68 @@ pub enum Topo {
     SingleTrunk,
 }
 
+impl Topo {
+    /// Both topologies, in feature order.
+    const ALL: [Topo; 2] = [Topo::Flute, Topo::SingleTrunk];
+}
+
+/// Both wire models, in feature order: every `[_; 2]` of per-model
+/// values below is indexed like this array.
+const MODELS: [WireModel; 2] = [WireModel::Elmore, WireModel::D2m];
+
 /// Fast per-net estimate: gate + estimated-topology wire delay to each
-/// pin, with PERI slews.
+/// pin under each of [`MODELS`], with PERI slews (which do not depend
+/// on the wire model).
+#[derive(Debug)]
 struct NetEst {
-    pin_delay: Vec<f64>,
+    pin_delay: [Vec<f64>; 2],
     pin_slew: Vec<f64>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn net_estimate(
-    lib: &Library,
-    corner: CornerId,
-    drv_cell: CellId,
-    slew_in: f64,
-    drv_loc: Point,
-    pins: &[(Point, f64)],
-    topo: Topo,
-    model: WireModel,
-) -> NetEst {
-    let pts: Vec<Point> = pins.iter().map(|&(p, _)| p).collect();
-    let wt = match topo {
-        Topo::Flute => rsmt(drv_loc, &pts),
-        Topo::SingleTrunk => single_trunk(drv_loc, &pts),
-    };
-    let loads: Vec<(usize, f64)> = pins
-        .iter()
-        .map(|&(p, c)| (wt.index_of(p).expect("pin in tree"), c))
-        .collect();
-    // lumped extraction: this is the *fast* estimate, not golden
-    let rct = RcTree::extract(&wt, lib.wire_rc(corner), &loads, 1.0e9);
-    let nt = NetTiming::analyze(&rct);
-    let load = nt.total_cap_ff();
-    let gate = lib.gate_delay(drv_cell, corner, slew_in, load);
-    let gslew = lib.gate_output_slew(drv_cell, corner, slew_in, load);
-    let mut pin_delay = Vec::with_capacity(pins.len());
-    let mut pin_slew = Vec::with_capacity(pins.len());
-    for &(p, _) in pins {
-        let rc_node = rct.rc_node_of_wire_node(wt.index_of(p).expect("pin in tree"));
-        pin_delay.push(gate + nt.delay_ps(rc_node, model));
-        pin_slew.push(peri_slew(gslew, nt.wire_slew_ps(rc_node)));
+/// One net routed under one topology: the wire tree, each pin's node in
+/// it and each pin's load. The route serves every corner.
+struct RoutedNet {
+    wt: WireTree,
+    loads: Vec<(usize, f64)>,
+}
+
+impl RoutedNet {
+    fn new(topo: Topo, drv_loc: Point, pins: &[(Point, f64)]) -> Self {
+        let pts: Vec<Point> = pins.iter().map(|&(p, _)| p).collect();
+        let wt = match topo {
+            Topo::Flute => rsmt(drv_loc, &pts),
+            Topo::SingleTrunk => single_trunk(drv_loc, &pts),
+        };
+        let loads = pins
+            .iter()
+            .map(|&(p, c)| (wt.index_of(p).expect("pin in tree"), c))
+            .collect();
+        RoutedNet { wt, loads }
     }
-    NetEst {
-        pin_delay,
-        pin_slew,
+
+    /// Extracts the net at `corner` and reads both wire models from the
+    /// one moment analysis.
+    fn estimate(&self, lib: &Library, corner: CornerId, drv_cell: CellId, slew_in: f64) -> NetEst {
+        // lumped extraction: this is the *fast* estimate, not golden
+        let rct = RcTree::extract(&self.wt, lib.wire_rc(corner), &self.loads, 1.0e9);
+        let nt = NetTiming::analyze(&rct);
+        let load = nt.total_cap_ff();
+        let gate = lib.gate_delay(drv_cell, corner, slew_in, load);
+        let gslew = lib.gate_output_slew(drv_cell, corner, slew_in, load);
+        let n = self.loads.len();
+        let mut est = NetEst {
+            pin_delay: [Vec::with_capacity(n), Vec::with_capacity(n)],
+            pin_slew: Vec::with_capacity(n),
+        };
+        for &(w, _) in &self.loads {
+            let rc_node = rct.rc_node_of_wire_node(w);
+            for (m, model) in MODELS.into_iter().enumerate() {
+                est.pin_delay[m].push(gate + nt.delay_ps(rc_node, model));
+            }
+            est.pin_slew
+                .push(peri_slew(gslew, nt.wire_slew_ps(rc_node)));
+        }
+        est
     }
 }
 
@@ -74,6 +101,23 @@ fn pin_cap(tree: &ClockTree, lib: &Library, node: NodeId) -> f64 {
         NodeKind::Sink => lib.sink_cap_ff(),
         NodeKind::Source => 0.0,
     }
+}
+
+/// `timings[k]` paired with its corner id `k`.
+pub(crate) fn corners_of(timings: &[CornerTiming]) -> Vec<(CornerId, &CornerTiming)> {
+    timings
+        .iter()
+        .enumerate()
+        .map(|(k, t)| (CornerId(k), t))
+        .collect()
+}
+
+/// `(location, input cap)` of every fanout pin of `driver`.
+fn pins_of(tree: &ClockTree, lib: &Library, driver: NodeId) -> Vec<(Point, f64)> {
+    tree.children(driver)
+        .iter()
+        .map(|&c| (tree.loc(c), pin_cap(tree, lib, c)))
+        .collect()
 }
 
 fn resized(lib: &Library, cell: CellId, r: Resize) -> CellId {
@@ -99,298 +143,317 @@ pub struct MoveEstimate {
     pub side_effects: Vec<(NodeId, f64)>,
 }
 
-/// Analytically estimates a move's delta-latency at `corner` using the
-/// chosen routing-pattern / wire-delay models. This is the pre-ML
-/// estimator of the paper (and the "analytical model" baseline of
-/// Fig. 6); it sees neither legalization nor the actual ECO route.
-#[allow(clippy::too_many_arguments)]
-pub fn analytic_move_estimate(
-    tree: &ClockTree,
-    lib: &Library,
-    corner: CornerId,
-    timing: &CornerTiming,
-    mv: &Move,
-    cfg: &MoveConfig,
-    topo: Topo,
-    model: WireModel,
-) -> MoveEstimate {
-    let step = um_to_dbu(cfg.displace_um);
-    match *mv {
-        Move::SizeDisplace { node, dir, resize } => {
-            let new_loc = match dir {
-                Some(d) => tree.loc(node).step(d, step),
-                None => tree.loc(node),
-            };
-            let old_cell = tree.cell(node).expect("buffer");
-            let new_cell = resized(lib, old_cell, resize);
-            estimate_driver_change(
-                tree,
-                lib,
-                corner,
-                timing,
-                node,
-                new_loc,
-                new_cell,
-                &[],
-                topo,
-                model,
-            )
-        }
-        Move::ChildSize {
-            node,
-            dir,
-            child,
-            child_resize,
-        } => {
-            let new_loc = tree.loc(node).step(dir, step);
-            let cell = tree.cell(node).expect("buffer");
-            let child_cell = tree.cell(child).expect("buffer child");
-            let new_child_cell = resized(lib, child_cell, child_resize);
-            estimate_driver_change(
-                tree,
-                lib,
-                corner,
-                timing,
-                node,
-                new_loc,
-                cell,
-                &[(child, new_child_cell)],
-                topo,
-                model,
-            )
-        }
-        Move::Reassign { node, new_parent } => {
-            let p = tree.parent(node).expect("non-root");
-            // old driver's net with and without `node`
-            let old_pins: Vec<(Point, f64)> = tree
-                .children(p)
-                .iter()
-                .map(|&c| (tree.loc(c), pin_cap(tree, lib, c)))
-                .collect();
-            let p_cell = tree.cell(p).expect("driver");
-            let est_old = net_estimate(
-                lib,
-                corner,
-                p_cell,
-                timing.slew_ps(p),
-                tree.loc(p),
-                &old_pins,
-                topo,
-                model,
-            );
-            let idx = tree
-                .children(p)
-                .iter()
-                .position(|&c| c == node)
-                .expect("node is a child of p");
-            // new driver's net with `node` appended
-            let mut new_pins: Vec<(Point, f64)> = tree
-                .children(new_parent)
-                .iter()
-                .map(|&c| (tree.loc(c), pin_cap(tree, lib, c)))
-                .collect();
-            new_pins.push((tree.loc(node), pin_cap(tree, lib, node)));
-            let np_cell = tree.cell(new_parent).expect("driver");
-            let est_new = net_estimate(
-                lib,
-                corner,
-                np_cell,
-                timing.slew_ps(new_parent),
-                tree.loc(new_parent),
-                &new_pins,
-                topo,
-                model,
-            );
-            let primary_delta = (timing.arrival_ps(new_parent) - timing.arrival_ps(p))
-                + (est_new.pin_delay[new_pins.len() - 1] - est_old.pin_delay[idx]);
-            // side effects: old siblings speed up, new siblings slow down
-            let mut side = Vec::new();
-            if old_pins.len() > 1 {
-                let remaining: Vec<(Point, f64)> = old_pins
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != idx)
-                    .map(|(_, &p)| p)
-                    .collect();
-                let est_rem = net_estimate(
-                    lib,
-                    corner,
-                    p_cell,
-                    timing.slew_ps(p),
-                    tree.loc(p),
-                    &remaining,
-                    topo,
-                    model,
-                );
-                let mut k = 0;
-                for (i, &c) in tree.children(p).iter().enumerate() {
-                    if i == idx {
-                        continue;
-                    }
-                    side.push((c, est_rem.pin_delay[k] - est_old.pin_delay[i]));
-                    k += 1;
-                }
-            }
-            if new_pins.len() > 1 {
-                let prior: Vec<(Point, f64)> = new_pins[..new_pins.len() - 1].to_vec();
-                let est_prior = net_estimate(
-                    lib,
-                    corner,
-                    np_cell,
-                    timing.slew_ps(new_parent),
-                    tree.loc(new_parent),
-                    &prior,
-                    topo,
-                    model,
-                );
-                for (i, &c) in tree.children(new_parent).iter().enumerate() {
-                    side.push((c, est_new.pin_delay[i] - est_prior.pin_delay[i]));
-                }
-            }
-            MoveEstimate {
-                primary_delta,
-                per_child: vec![(node, primary_delta)],
-                side_effects: side,
-            }
-        }
-    }
+/// Per-model estimates of one move at one corner, indexed like
+/// [`MODELS`].
+type ModelPair = [MoveEstimate; 2];
+
+/// Fast estimates of a committed tree's own driver nets — the "before"
+/// side of every move estimate — at a set of corners, under both
+/// topologies. Built once per tree state (the local phase builds one
+/// per iteration) and only read afterwards, so ranking workers share
+/// it.
+#[derive(Debug)]
+pub struct CommittedNets<'a> {
+    tree: &'a ClockTree,
+    lib: &'a Library,
+    corners: Vec<(CornerId, &'a CornerTiming)>,
+    /// `nets[driver][corner][topo]`, indexed by node id; empty for
+    /// nodes not covered.
+    nets: Vec<Vec<[NetEst; 2]>>,
 }
 
-/// Shared path for type I/II: driver `node` moves to `new_loc` with
-/// `new_cell`; `child_changes` lists child resizes.
-#[allow(clippy::too_many_arguments)]
-fn estimate_driver_change(
-    tree: &ClockTree,
-    lib: &Library,
-    corner: CornerId,
-    timing: &CornerTiming,
-    node: NodeId,
-    new_loc: Point,
-    new_cell: CellId,
-    child_changes: &[(NodeId, CellId)],
-    topo: Topo,
-    model: WireModel,
-) -> MoveEstimate {
-    let old_cell = tree.cell(node).expect("buffer");
-    // --- stage 0: the parent's net sees node's pin move / recap ---
-    let (d1, slew_shift, parent_side) = match tree.parent(node) {
-        None => (0.0, 0.0, Vec::new()),
-        Some(p) => {
-            let p_cell = tree.cell(p).expect("driver");
-            let p_slew = timing.slew_ps(p);
-            let before: Vec<(Point, f64)> = tree
-                .children(p)
+impl<'a> CommittedNets<'a> {
+    /// Estimates every driver net of `tree` at every corner of
+    /// `timings` (`timings[k]` is the analysis of corner `k`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a driver was not timed.
+    pub fn new(tree: &'a ClockTree, lib: &'a Library, timings: &'a [CornerTiming]) -> Self {
+        Self::build(tree, lib, corners_of(timings), tree.node_ids())
+    }
+
+    /// Only the nets `mv` reads, at `corners`: the context-free entry
+    /// points ([`move_features_with_sides`], `predict_move_gain`) run on
+    /// this.
+    pub(crate) fn for_move(
+        tree: &'a ClockTree,
+        lib: &'a Library,
+        corners: Vec<(CornerId, &'a CornerTiming)>,
+        mv: &Move,
+    ) -> Self {
+        let node = mv.primary_node();
+        let drivers = match *mv {
+            Move::SizeDisplace { .. } | Move::ChildSize { .. } => [tree.parent(node), Some(node)],
+            Move::Reassign { new_parent, .. } => [tree.parent(node), Some(new_parent)],
+        };
+        Self::build(tree, lib, corners, drivers.into_iter().flatten())
+    }
+
+    fn build(
+        tree: &'a ClockTree,
+        lib: &'a Library,
+        corners: Vec<(CornerId, &'a CornerTiming)>,
+        drivers: impl IntoIterator<Item = NodeId>,
+    ) -> Self {
+        let slots = tree.node_ids().map(|n| n.0 as usize + 1).max().unwrap_or(0);
+        let mut nets: Vec<Vec<[NetEst; 2]>> = (0..slots).map(|_| Vec::new()).collect();
+        for d in drivers {
+            let Some(cell) = tree.cell(d) else { continue };
+            if tree.children(d).is_empty() {
+                continue;
+            }
+            let pins = pins_of(tree, lib, d);
+            let routes = Topo::ALL.map(|t| RoutedNet::new(t, tree.loc(d), &pins));
+            nets[d.0 as usize] = corners
                 .iter()
-                .map(|&c| (tree.loc(c), pin_cap(tree, lib, c)))
+                .map(|&(corner, timing)| {
+                    routes
+                        .each_ref()
+                        .map(|r| r.estimate(lib, corner, cell, timing.slew_ps(d)))
+                })
                 .collect();
-            let mut after = before.clone();
+        }
+        CommittedNets {
+            tree,
+            lib,
+            corners,
+            nets,
+        }
+    }
+
+    /// The committed net of `driver` at the `ci`-th corner.
+    fn committed(&self, driver: NodeId, ci: usize, topo: Topo) -> &NetEst {
+        &self.nets[driver.0 as usize][ci][topo as usize]
+    }
+
+    /// The model input of [`move_features`] for `mv` at every corner,
+    /// each with the FLUTE×D2M [`MoveEstimate`], in corner order.
+    pub fn features(&self, mv: &Move, cfg: &MoveConfig) -> Vec<(Vec<f64>, MoveEstimate)> {
+        let flute = self.estimates(mv, cfg, Topo::Flute);
+        let trunk = self.estimates(mv, cfg, Topo::SingleTrunk);
+        let tail = descriptor_features(self.tree, self.lib, mv, cfg);
+        flute
+            .into_iter()
+            .zip(trunk)
+            .map(|([fe, fd], [te, td])| {
+                let mut f = Vec::with_capacity(N_FEATURES);
+                f.extend([fe.primary_delta, fd.primary_delta]);
+                f.extend([te.primary_delta, td.primary_delta]);
+                f.extend_from_slice(&tail);
+                debug_assert_eq!(f.len(), N_FEATURES);
+                (f, fd)
+            })
+            .collect()
+    }
+
+    /// Per-corner estimates of `mv` under `topo`.
+    fn estimates(&self, mv: &Move, cfg: &MoveConfig, topo: Topo) -> Vec<ModelPair> {
+        let (tree, lib) = (self.tree, self.lib);
+        let step = um_to_dbu(cfg.displace_um);
+        match *mv {
+            Move::SizeDisplace { node, dir, resize } => {
+                let new_loc = match dir {
+                    Some(d) => tree.loc(node).step(d, step),
+                    None => tree.loc(node),
+                };
+                let old_cell = tree.cell(node).expect("buffer");
+                let new_cell = resized(lib, old_cell, resize);
+                self.driver_change(node, new_loc, new_cell, &[], topo)
+            }
+            Move::ChildSize {
+                node,
+                dir,
+                child,
+                child_resize,
+            } => {
+                let new_loc = tree.loc(node).step(dir, step);
+                let cell = tree.cell(node).expect("buffer");
+                let child_cell = tree.cell(child).expect("buffer child");
+                let new_child_cell = resized(lib, child_cell, child_resize);
+                self.driver_change(node, new_loc, cell, &[(child, new_child_cell)], topo)
+            }
+            Move::Reassign { node, new_parent } => self.reassign(node, new_parent, topo),
+        }
+    }
+
+    /// Type III: `node` leaves its driver's net and joins
+    /// `new_parent`'s.
+    fn reassign(&self, node: NodeId, new_parent: NodeId, topo: Topo) -> Vec<ModelPair> {
+        let (tree, lib) = (self.tree, self.lib);
+        let p = tree.parent(node).expect("non-root");
+        let old_kids = tree.children(p);
+        let idx = old_kids
+            .iter()
+            .position(|&c| c == node)
+            .expect("node is a child of p");
+        // new driver's net with `node` appended
+        let mut new_pins = pins_of(tree, lib, new_parent);
+        new_pins.push((tree.loc(node), pin_cap(tree, lib, node)));
+        let new_net = RoutedNet::new(topo, tree.loc(new_parent), &new_pins);
+        // old driver's net without `node`
+        let rem_net = (old_kids.len() > 1).then(|| {
+            let remaining: Vec<(Point, f64)> = pins_of(tree, lib, p)
+                .into_iter()
+                .enumerate()
+                .filter(|&(i, _)| i != idx)
+                .map(|(_, pin)| pin)
+                .collect();
+            RoutedNet::new(topo, tree.loc(p), &remaining)
+        });
+        let p_cell = tree.cell(p).expect("driver");
+        let np_cell = tree.cell(new_parent).expect("driver");
+        let last = new_pins.len() - 1;
+        self.corners
+            .iter()
+            .enumerate()
+            .map(|(ci, &(corner, timing))| {
+                let est_old = self.committed(p, ci, topo);
+                let est_new = new_net.estimate(lib, corner, np_cell, timing.slew_ps(new_parent));
+                let est_rem = rem_net
+                    .as_ref()
+                    .map(|r| r.estimate(lib, corner, p_cell, timing.slew_ps(p)));
+                let est_prior = (last > 0).then(|| self.committed(new_parent, ci, topo));
+                std::array::from_fn(|m| {
+                    let primary_delta = (timing.arrival_ps(new_parent) - timing.arrival_ps(p))
+                        + (est_new.pin_delay[m][last] - est_old.pin_delay[m][idx]);
+                    // side effects: old siblings speed up, new siblings
+                    // slow down
+                    let mut side = Vec::new();
+                    if let Some(rem) = &est_rem {
+                        let others = old_kids.iter().enumerate().filter(|&(i, _)| i != idx);
+                        for (k, (i, &c)) in others.enumerate() {
+                            side.push((c, rem.pin_delay[m][k] - est_old.pin_delay[m][i]));
+                        }
+                    }
+                    if let Some(prior) = est_prior {
+                        for (i, &c) in tree.children(new_parent).iter().enumerate() {
+                            side.push((c, est_new.pin_delay[m][i] - prior.pin_delay[m][i]));
+                        }
+                    }
+                    MoveEstimate {
+                        primary_delta,
+                        per_child: vec![(node, primary_delta)],
+                        side_effects: side,
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// Shared path for type I/II: driver `node` moves to `new_loc` with
+    /// `new_cell`; `child_changes` lists child resizes.
+    fn driver_change(
+        &self,
+        node: NodeId,
+        new_loc: Point,
+        new_cell: CellId,
+        child_changes: &[(NodeId, CellId)],
+        topo: Topo,
+    ) -> Vec<ModelPair> {
+        let (tree, lib) = (self.tree, self.lib);
+        let new_cell_of = |c: NodeId| {
+            child_changes
+                .iter()
+                .find(|&&(cc, _)| cc == c)
+                .map(|&(_, cell)| cell)
+        };
+        // stage 0: the parent's net sees node's pin move / recap
+        let stage0 = tree.parent(node).map(|p| {
+            let mut after = pins_of(tree, lib, p);
             let idx = tree
                 .children(p)
                 .iter()
                 .position(|&c| c == node)
                 .expect("node under p");
             after[idx] = (new_loc, lib.cell(new_cell).input_cap_ff);
-            let eb = net_estimate(
-                lib,
-                corner,
-                p_cell,
-                p_slew,
-                tree.loc(p),
-                &before,
-                topo,
-                model,
-            );
-            let ea = net_estimate(
-                lib,
-                corner,
-                p_cell,
-                p_slew,
-                tree.loc(p),
-                &after,
-                topo,
-                model,
-            );
-            let mut side = Vec::new();
-            for (i, &c) in tree.children(p).iter().enumerate() {
-                if i != idx {
-                    side.push((c, ea.pin_delay[i] - eb.pin_delay[i]));
-                }
-            }
-            (
-                ea.pin_delay[idx] - eb.pin_delay[idx],
-                ea.pin_slew[idx] - eb.pin_slew[idx],
-                side,
-            )
-        }
-    };
-    // --- stage 1: node's own net ---
-    let children = tree.children(node);
-    if children.is_empty() {
-        return MoveEstimate {
-            primary_delta: d1,
-            per_child: vec![(node, d1)],
-            side_effects: parent_side,
-        };
-    }
-    let new_child_cell = |c: NodeId| -> f64 {
-        child_changes.iter().find(|&&(cc, _)| cc == c).map_or_else(
-            || pin_cap(tree, lib, c),
-            |&(_, cell)| lib.cell(cell).input_cap_ff,
-        )
-    };
-    let before: Vec<(Point, f64)> = children
-        .iter()
-        .map(|&c| (tree.loc(c), pin_cap(tree, lib, c)))
-        .collect();
-    let after: Vec<(Point, f64)> = children
-        .iter()
-        .map(|&c| (tree.loc(c), new_child_cell(c)))
-        .collect();
-    let s_live = timing.slew_ps(node);
-    let eb = net_estimate(
-        lib,
-        corner,
-        old_cell,
-        s_live,
-        tree.loc(node),
-        &before,
-        topo,
-        model,
-    );
-    let ea = net_estimate(
-        lib,
-        corner,
-        new_cell,
-        (s_live + slew_shift).max(1.0),
-        new_loc,
-        &after,
-        topo,
-        model,
-    );
-    // per-child deltas: shift at the driver input (d1) + this child's own
-    // net-delay change + its stage-2 gate-delay change
-    let mut per_child = Vec::with_capacity(children.len());
-    for (i, &c) in children.iter().enumerate() {
-        let d2_i = ea.pin_delay[i] - eb.pin_delay[i];
-        let d3_i = if let NodeKind::Buffer(c_cell) = tree.node(c).kind {
-            let load = timing.load_ff(c);
-            let new_cell_c = child_changes
+            let net = RoutedNet::new(topo, tree.loc(p), &after);
+            (p, tree.cell(p).expect("driver"), idx, net)
+        });
+        // stage 1: node's own net
+        let children = tree.children(node);
+        let stage1 = (!children.is_empty()).then(|| {
+            let after: Vec<(Point, f64)> = children
                 .iter()
-                .find(|&&(cc, _)| cc == c)
-                .map_or(c_cell, |&(_, cell)| cell);
-            let g_b = lib.gate_delay(c_cell, corner, eb.pin_slew[i], load);
-            let g_a = lib.gate_delay(new_cell_c, corner, ea.pin_slew[i], load);
-            g_a - g_b
-        } else {
-            0.0
-        };
-        per_child.push((c, d1 + d2_i + d3_i));
-    }
-    let primary_delta = per_child.iter().map(|&(_, d)| d).sum::<f64>() / children.len() as f64;
-    MoveEstimate {
-        primary_delta,
-        per_child,
-        side_effects: parent_side,
+                .map(|&c| {
+                    let cap = new_cell_of(c)
+                        .map_or_else(|| pin_cap(tree, lib, c), |cell| lib.cell(cell).input_cap_ff);
+                    (tree.loc(c), cap)
+                })
+                .collect();
+            RoutedNet::new(topo, new_loc, &after)
+        });
+        self.corners
+            .iter()
+            .enumerate()
+            .map(|(ci, &(corner, timing))| {
+                let (d1, slew_shift, mut parent_side) = match &stage0 {
+                    None => ([0.0; 2], 0.0, [Vec::new(), Vec::new()]),
+                    Some((p, p_cell, idx, net)) => {
+                        let eb = self.committed(*p, ci, topo);
+                        let ea = net.estimate(lib, corner, *p_cell, timing.slew_ps(*p));
+                        let side = std::array::from_fn(|m| {
+                            let siblings = tree.children(*p).iter().enumerate();
+                            siblings
+                                .filter(|&(i, _)| i != *idx)
+                                .map(|(i, &c)| (c, ea.pin_delay[m][i] - eb.pin_delay[m][i]))
+                                .collect()
+                        });
+                        (
+                            std::array::from_fn(|m| ea.pin_delay[m][*idx] - eb.pin_delay[m][*idx]),
+                            ea.pin_slew[*idx] - eb.pin_slew[*idx],
+                            side,
+                        )
+                    }
+                };
+                let Some(net) = &stage1 else {
+                    return std::array::from_fn(|m| MoveEstimate {
+                        primary_delta: d1[m],
+                        per_child: vec![(node, d1[m])],
+                        side_effects: std::mem::take(&mut parent_side[m]),
+                    });
+                };
+                let s_live = timing.slew_ps(node);
+                let eb = self.committed(node, ci, topo);
+                let ea = net.estimate(lib, corner, new_cell, (s_live + slew_shift).max(1.0));
+                // each child's stage-2 gate-delay change (the slews do
+                // not depend on the wire model)
+                let d3: Vec<f64> = children
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &c)| {
+                        let NodeKind::Buffer(c_cell) = tree.node(c).kind else {
+                            return 0.0;
+                        };
+                        let load = timing.load_ff(c);
+                        let new_cell_c = new_cell_of(c).unwrap_or(c_cell);
+                        let g_b = lib.gate_delay(c_cell, corner, eb.pin_slew[i], load);
+                        let g_a = lib.gate_delay(new_cell_c, corner, ea.pin_slew[i], load);
+                        g_a - g_b
+                    })
+                    .collect();
+                std::array::from_fn(|m| {
+                    // per-child deltas: shift at the driver input (d1) +
+                    // this child's own net-delay change + its stage-2
+                    // gate-delay change
+                    let per_child: Vec<(NodeId, f64)> = children
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &c)| {
+                            let d2_i = ea.pin_delay[m][i] - eb.pin_delay[m][i];
+                            (c, d1[m] + d2_i + d3[i])
+                        })
+                        .collect();
+                    let primary_delta =
+                        per_child.iter().map(|&(_, d)| d).sum::<f64>() / children.len() as f64;
+                    MoveEstimate {
+                        primary_delta,
+                        per_child,
+                        side_effects: std::mem::take(&mut parent_side[m]),
+                    }
+                })
+            })
+            .collect()
     }
 }
 
@@ -399,7 +462,9 @@ pub const N_FEATURES: usize = 10;
 
 /// The model input of the paper: the four analytical delta estimates plus
 /// net geometry (fanout, bounding-box area, aspect ratio) and move
-/// descriptors.
+/// descriptors. The analytical estimates are the paper's pre-ML
+/// estimators (and the "analytical model" baselines of Fig. 6); they see
+/// neither legalization nor the actual ECO route.
 pub fn move_features(
     tree: &ClockTree,
     lib: &Library,
@@ -413,7 +478,9 @@ pub fn move_features(
 
 /// [`move_features`] plus the full FLUTE×D2M [`MoveEstimate`] (per-child
 /// deltas and sibling side effects), reused by the local optimizer so the
-/// four expensive analytic passes run once.
+/// analytic passes run once. Ranking many moves on one tree goes through
+/// [`CommittedNets::features`] instead, which shares the committed nets
+/// between moves and the routes between corners.
 pub fn move_features_with_sides(
     tree: &ClockTree,
     lib: &Library,
@@ -422,30 +489,20 @@ pub fn move_features_with_sides(
     mv: &Move,
     cfg: &MoveConfig,
 ) -> (Vec<f64>, MoveEstimate) {
-    let combos = [
-        (Topo::Flute, WireModel::Elmore),
-        (Topo::Flute, WireModel::D2m),
-        (Topo::SingleTrunk, WireModel::Elmore),
-        (Topo::SingleTrunk, WireModel::D2m),
-    ];
-    let mut detail = None;
-    let mut f = Vec::with_capacity(N_FEATURES);
-    for (topo, model) in combos {
-        let est = analytic_move_estimate(tree, lib, corner, timing, mv, cfg, topo, model);
-        f.push(est.primary_delta);
-        if topo == Topo::Flute && model == WireModel::D2m {
-            detail = Some(est);
-        }
-    }
-    let detail = detail.expect("FLUTE x D2M combo always runs");
+    let nets = CommittedNets::for_move(tree, lib, vec![(corner, timing)], mv);
+    let [one] =
+        <[(Vec<f64>, MoveEstimate); 1]>::try_from(nets.features(mv, cfg)).expect("one corner");
+    one
+}
+
+/// The corner-independent features: fanout, bounding box and move
+/// descriptors.
+fn descriptor_features(tree: &ClockTree, lib: &Library, mv: &Move, cfg: &MoveConfig) -> [f64; 6] {
     let node = mv.primary_node();
     let children = tree.children(node);
-    f.push(children.len() as f64);
     let mut pts: Vec<Point> = children.iter().map(|&c| tree.loc(c)).collect();
     pts.push(tree.loc(node));
     let bbox = Rect::bounding(&pts).expect("non-empty");
-    f.push(bbox.area_um2() / 1_000.0);
-    f.push(bbox.aspect_ratio());
     // move descriptors: drive delta, displacement, child-cap delta
     let (ddrive, dist, dcap) = match *mv {
         Move::SizeDisplace { node, dir, resize } => {
@@ -475,11 +532,14 @@ pub fn move_features_with_sides(
             (0.0, tree.loc(new_parent).manhattan_um(tree.loc(p)), 0.0)
         }
     };
-    f.push(ddrive);
-    f.push(dist);
-    f.push(dcap);
-    debug_assert_eq!(f.len(), N_FEATURES);
-    (f, detail)
+    [
+        children.len() as f64,
+        bbox.area_um2() / 1_000.0,
+        bbox.aspect_ratio(),
+        ddrive,
+        dist,
+        dcap,
+    ]
 }
 
 /// Which learner backs a [`DeltaLatencyModel`].
@@ -577,6 +637,7 @@ pub fn build_dataset(lib: &Library, cfg: &TrainConfig) -> Dataset {
         if all_moves.is_empty() {
             continue;
         }
+        let nets = CommittedNets::new(&case.tree, lib, &before);
         // deterministic stride sampling for diversity under the cap
         let stride = all_moves.len().div_ceil(cfg.moves_per_case.max(1)).max(1);
         for mv in all_moves.into_iter().step_by(stride) {
@@ -593,8 +654,7 @@ pub fn build_dataset(lib: &Library, cfg: &TrainConfig) -> Dataset {
             if apply_move(&mut trial, lib, &fp, &mcfg, &mv).is_err() {
                 continue;
             }
-            for k in lib.corner_ids() {
-                let feats = move_features(&case.tree, lib, k, &before[k.0], &mv, &mcfg);
+            for (k, (feats, _)) in lib.corner_ids().zip(nets.features(&mv, &mcfg)) {
                 let after = timer.analyze(&trial, lib, k);
                 let baseline: f64 = sinks
                     .iter()

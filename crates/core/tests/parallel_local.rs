@@ -3,18 +3,24 @@
 //! 1. **Bit-stable incremental timing** — re-timing only the dirty cone
 //!    of a Table-2 move equals a full golden re-analysis bit for bit,
 //!    for every move type and corner.
-//! 2. **Worker-count invariance** — Algorithm 2 commits the exact same
-//!    move sequence (and produces the exact same tree) whether candidate
-//!    evaluation runs on 1, 4, or 8 worker threads. This is the test the
-//!    ThreadSanitizer CI job runs under `-Zsanitizer=thread`.
+//! 2. **Worker-count invariance** — Algorithm 2 ranks the same candidate
+//!    list, commits the exact same move sequence (and produces the exact
+//!    same tree) and counts the same golden timings whether ranking and
+//!    candidate evaluation run on 1, 4, or 8 worker threads. The
+//!    ThreadSanitizer CI job runs this file under `-Zsanitizer=thread`.
+
+use std::collections::BTreeMap;
 
 use clk_cts::{Testcase, TestcaseKind};
 use clk_delay::WireModel;
 use clk_netlist::ClockTree;
-use clk_skewopt::local::{local_optimize, LocalConfig, Ranker};
+use clk_obs::{MetricValue, Obs, ObsConfig};
+use clk_skewopt::local::{local_optimize_checked, LocalConfig, RankContext, Ranker};
 use clk_skewopt::predictor::Topo;
-use clk_skewopt::{apply_move, enumerate_moves, touched_drivers, MoveConfig};
-use clk_sta::{CornerTiming, Timer};
+use clk_skewopt::{
+    apply_move, enumerate_moves, touched_drivers, FaultCtx, Move, MoveConfig, PhaseBudget,
+};
+use clk_sta::{alpha_factors, try_pair_skews, CornerTiming, Timer};
 use proptest::prelude::*;
 
 /// Bit-exact comparison of two corner analyses through the public API.
@@ -99,9 +105,20 @@ fn tree_digest(tree: &ClockTree) -> Vec<String> {
         .collect()
 }
 
+/// Everything observable about one local-phase run: the final tree,
+/// the accepted `(move type, variation bits)` trace, the final variation
+/// bits, the golden evaluations, and every obs counter.
+type LocalOutcome = (
+    Vec<String>,
+    Vec<(u8, u64)>,
+    u64,
+    usize,
+    BTreeMap<String, u64>,
+);
+
 /// Runs the local phase on one generated case with a given worker count
-/// and returns everything observable about the outcome.
-fn run_local(seed: u64, workers: usize) -> (Vec<String>, Vec<(u8, u64)>, u64, usize) {
+/// and observability on.
+fn run_local(seed: u64, workers: usize) -> LocalOutcome {
     let tc = Testcase::generate(TestcaseKind::Cls1v1, 24, seed);
     let mut tree = tc.tree.clone();
     let cfg = LocalConfig {
@@ -110,14 +127,29 @@ fn run_local(seed: u64, workers: usize) -> (Vec<String>, Vec<(u8, u64)>, u64, us
         workers,
         ..LocalConfig::default()
     };
-    let report = local_optimize(
+    let obs = Obs::new(ObsConfig::default());
+    let mut ctx = FaultCtx::passive().with_obs(obs.clone());
+    let report = local_optimize_checked(
         &mut tree,
         &tc.lib,
         &tc.floorplan,
         Ranker::Analytic(Topo::Flute, WireModel::D2m),
         &cfg,
-    );
+        None,
+        &mut ctx,
+        &PhaseBudget::unlimited(),
+    )
+    .expect("local phase runs");
     tree.validate().expect("final tree valid");
+    let counters = obs
+        .metrics_snapshot()
+        .expect("obs enabled")
+        .into_iter()
+        .filter_map(|(name, v)| match v {
+            MetricValue::Counter(n) => Some((name, n)),
+            _ => None,
+        })
+        .collect();
     (
         tree_digest(&tree),
         report
@@ -127,6 +159,7 @@ fn run_local(seed: u64, workers: usize) -> (Vec<String>, Vec<(u8, u64)>, u64, us
             .collect(),
         report.variation_after.to_bits(),
         report.golden_evals,
+        counters,
     )
 }
 
@@ -137,11 +170,62 @@ fn run_local(seed: u64, workers: usize) -> (Vec<String>, Vec<(u8, u64)>, u64, us
 fn parallel_local_is_deterministic_across_worker_counts() {
     for seed in [2015u64, 7, 136] {
         let base = run_local(seed, 1);
+        // the workers' golden timings are counted with the coordinator's
+        let incremental = base.4.get("sta.analyze.incremental").copied();
+        assert!(
+            incremental.is_some_and(|n| n > 0),
+            "seed {seed}: worker-side analyses uncounted"
+        );
         for workers in [4usize, 8] {
             let got = run_local(seed, workers);
             assert_eq!(
                 base, got,
                 "seed {seed}: workers=1 vs workers={workers} diverged"
+            );
+        }
+    }
+}
+
+/// The ranked candidate list — `(gain bits, move)` in rank order — of
+/// one ranking sweep, with `workers` ranking threads.
+fn ranked(tc: &Testcase, workers: usize) -> Vec<(u64, Move)> {
+    let mcfg = MoveConfig::default();
+    let timings = Timer::golden()
+        .try_analyze_all(&tc.tree, &tc.lib)
+        .expect("baseline times");
+    let pairs = tc.tree.sink_pairs().to_vec();
+    let skews = timings
+        .iter()
+        .map(|t| try_pair_skews(t, &pairs))
+        .collect::<Result<Vec<_>, _>>()
+        .expect("skews");
+    let alphas = alpha_factors(&skews);
+    let moves = enumerate_moves(&tc.tree, &tc.lib, &mcfg, None);
+    let ctx = RankContext::new(&tc.tree, &tc.lib, &timings, &pairs, &alphas);
+    let ranker = Ranker::Analytic(Topo::SingleTrunk, WireModel::Elmore);
+    let mut scored: Vec<(f64, Move)> = ctx
+        .gains(&moves, &mcfg, ranker, workers)
+        .into_iter()
+        .zip(moves)
+        .filter(|&(g, _)| g > LocalConfig::default().min_predicted_gain_ps)
+        .collect();
+    scored.sort_by(|a, b| b.0.total_cmp(&a.0));
+    scored.into_iter().map(|(g, m)| (g.to_bits(), m)).collect()
+}
+
+/// Ranking striped over 1, 4 or 8 threads yields the same ranked list
+/// to the last bit.
+#[test]
+fn parallel_ranking_is_deterministic_across_worker_counts() {
+    for seed in [2015u64, 7, 136] {
+        let tc = Testcase::generate(TestcaseKind::Cls2v1, 24, seed);
+        let base = ranked(&tc, 1);
+        assert!(!base.is_empty(), "seed {seed}: nothing ranked positive");
+        for workers in [4usize, 8] {
+            assert_eq!(
+                base,
+                ranked(&tc, workers),
+                "seed {seed}: ranking with workers=1 vs workers={workers} diverged"
             );
         }
     }

@@ -96,7 +96,14 @@ pub const DICTIONARY: &[MetricDef] = &[
         "pivots between expiry and acknowledgement",
     ),
     // --- clk-sta: timer ---
-    c("sta.analyzes", "full timing analyses"),
+    c(
+        "sta.analyzes",
+        "timing analyses, one per corner, full and cone-incremental",
+    ),
+    c(
+        "sta.analyze.incremental",
+        "cone-incremental analyses (also counted in sta.analyzes)",
+    ),
     c("sta.analyze.errors", "analyses that returned an error"),
     c("sta.violations", "constraint violations observed"),
     c("sta.nodes_timed", "node retimings summed over corners"),

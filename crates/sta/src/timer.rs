@@ -229,10 +229,11 @@ impl Timer {
         Timer::default()
     }
 
-    /// Attaches an observability pipeline: every analysis then updates
-    /// the `sta.analyze.count` / `sta.analyze.us` / `sta.violations`
-    /// metrics. A disabled pipeline (the default) costs one branch per
-    /// analysis.
+    /// Attaches an observability pipeline: every analysis, full or
+    /// cone-incremental, then updates the `sta.analyzes` /
+    /// `sta.nodes_timed` / `sta.violations` counters (full analyses also
+    /// the `sta.analyze.ms` histogram). A disabled pipeline (the
+    /// default) costs one branch per analysis.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
@@ -289,18 +290,35 @@ impl Timer {
         // clk-analyze: allow(A102) telemetry-only: behind obs.enabled(), feeds the sta.analyze.ms histogram, never the QoR
         let start = clk_obs::wall_now();
         let result = self.analyze_inner(tree, lib, corner);
-        self.obs.count("sta.analyzes", 1);
         self.obs
             .observe("sta.analyze.ms", start.elapsed().as_secs_f64() * 1e3);
-        match &result {
+        // a full walk re-times every reachable node
+        let nodes_timed = result
+            .as_ref()
+            .map_or(0, |t| t.arrival_ps.iter().filter(|a| a.is_finite()).count());
+        self.count_analysis(corner, &result, nodes_timed);
+        result
+    }
+
+    /// Counts one analysis of `corner` that re-timed `nodes_timed`
+    /// nodes. Reads no clock: the local phase's workers count their
+    /// analyses here concurrently, and the sums do not depend on the
+    /// order they finish in.
+    fn count_analysis(
+        &self,
+        corner: CornerId,
+        result: &Result<CornerTiming, TimingError>,
+        nodes_timed: usize,
+    ) {
+        self.obs.count("sta.analyzes", 1);
+        match result {
             Ok(t) => {
                 if !t.violations.is_empty() {
                     self.obs.count("sta.violations", t.violations.len() as u64);
                 }
                 // per-eval propagation stats: how much of the tree this
-                // corner's walk re-timed (full re-propagation today;
-                // the denominator the incremental rewrite must shrink)
-                let nodes_timed = t.arrival_ps.iter().filter(|a| a.is_finite()).count() as u64;
+                // corner's walk re-timed
+                let nodes_timed = nodes_timed as u64;
                 self.obs.count("sta.nodes_timed", nodes_timed);
                 self.obs
                     .count(&format!("sta.corner.{}.nodes_timed", corner.0), nodes_timed);
@@ -308,7 +326,6 @@ impl Timer {
             }
             Err(_) => self.obs.count("sta.analyze.errors", 1),
         }
-        result
     }
 
     fn analyze_inner(
@@ -450,6 +467,26 @@ impl Timer {
         if prev.arrival_ps.len() != n {
             return self.try_analyze(tree, lib, corner);
         }
+        let mut nodes_timed = 0;
+        let result = self.incremental_inner(tree, lib, prev, dirty, &mut nodes_timed);
+        if self.obs.enabled() {
+            self.obs.count("sta.analyze.incremental", 1);
+            self.count_analysis(corner, &result, nodes_timed);
+        }
+        result
+    }
+
+    /// The cone walk of [`Timer::try_analyze_incremental`]; adds the
+    /// nodes it re-times to `nodes_timed`.
+    fn incremental_inner(
+        &self,
+        tree: &ClockTree,
+        lib: &Library,
+        prev: &CornerTiming,
+        dirty: &[NodeId],
+        nodes_timed: &mut usize,
+    ) -> Result<CornerTiming, TimingError> {
+        let corner = prev.corner;
         let mut out = prev.clone();
         let wire_rc = lib.wire_rc(corner);
 
@@ -482,6 +519,7 @@ impl Timer {
                 })
                 .collect();
             let kids = self.time_net(tree, lib, wire_rc, corner, d, &mut out)?;
+            *nodes_timed += kids.len();
             for (c, (a0, s0)) in kids.into_iter().zip(before) {
                 let changed = out.arrival_ps[c.0 as usize].to_bits() != a0
                     || out.slew_ps[c.0 as usize].to_bits() != s0;
