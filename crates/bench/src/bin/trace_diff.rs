@@ -7,10 +7,11 @@
 //! (derived from the JSONL trace), counters and histogram quantiles,
 //! and writes a `profile.json` snapshot plus a folded-stack
 //! `flame.folded` (speedscope / inferno compatible). It enforces the
-//! attribution coverage floor (children of `lp.solve`, worker
-//! `local.eval` subtrees vs `local.batch` wall) and the metrics
-//! dictionary, and — with `--overhead` — measures and gates the cost
-//! of profiling itself (suite wall with the profiler on vs off).
+//! attribution coverage floor (children of `lp.solve`; candidate
+//! `local.eval` subtrees plus the coordinator's `local.commit` vs
+//! `local.batch` wall) and the metrics dictionary, and — with
+//! `--overhead` — measures and gates the cost of profiling itself
+//! (suite wall with the profiler on vs off).
 //!
 //! *Diff mode* (`--base A --cur B`) compares two snapshots with
 //! `clk-qor` noise-band verdicts: counters and attribution *counts*
@@ -376,11 +377,14 @@ fn coverage_failures(cp: &CaseProfile, tol: f64) -> Vec<String> {
     }
     if let Some(batch) = cp.profile.find("local.batch") {
         if batch.total_ms() >= COVERAGE_MIN_MS {
-            // worker `local.eval` subtrees root at top level; with
-            // parallel workers their summed wall may exceed the batch
-            // wall, which still counts as full coverage
-            let eval_ns = cp.profile.total_ns_of("local.eval");
-            let cov = eval_ns as f64 / batch.total_ns as f64;
+            // spawned workers' `local.eval` subtrees root at top level,
+            // the calling thread's nest under the batch; with parallel
+            // workers their summed wall may exceed the batch wall,
+            // which still counts as full coverage. The coordinator's
+            // work after the pool joins is timed as `local.commit`.
+            let covered_ns =
+                cp.profile.total_ns_of("local.eval") + cp.profile.total_ns_of("local.commit");
+            let cov = covered_ns as f64 / batch.total_ns as f64;
             println!("  {}: local.batch coverage {:.1}%", cp.id, cov * 100.0);
             if cov < tol {
                 fails.push(format!(

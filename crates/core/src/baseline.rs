@@ -178,6 +178,8 @@ pub fn worst_skew_optimize(
     // realize with the shared incremental ECO, accepting on worst-skew
     // improvement (the baseline's own metric)
     let mut out = tree.clone();
+    // the golden analysis of `out` as it stands
+    let mut cur = timings.clone();
     let mut changed = 0usize;
     let mut current_worst = worst_before;
     let mut todo: Vec<(f64, ArcId, Vec<f64>)> = involved
@@ -211,28 +213,21 @@ pub fn worst_skew_optimize(
             out = backup;
             continue;
         }
-        let after: Vec<Vec<f64>> = timer
-            .analyze_all(&out, lib)
+        let t_after = crate::global::retime_arc(&timer, &out, lib, &cur, &arc);
+        let worst = t_after
             .iter()
-            .map(|t| pair_skews(t, &all_pairs))
-            .collect();
-        let worst = after
-            .iter()
-            .map(|s| local_skew_ps(s))
+            .map(|t| local_skew_ps(&pair_skews(t, &all_pairs)))
             .fold(0.0f64, f64::max);
         if worst < current_worst {
             current_worst = worst;
+            cur = t_after;
             changed += 1;
         } else {
             out = backup;
         }
     }
 
-    let final_skews: Vec<Vec<f64>> = timer
-        .analyze_all(&out, lib)
-        .iter()
-        .map(|t| pair_skews(t, &all_pairs))
-        .collect();
+    let final_skews: Vec<Vec<f64>> = cur.iter().map(|t| pair_skews(t, &all_pairs)).collect();
     let report = WorstSkewReport {
         worst_before,
         worst_after: current_worst,

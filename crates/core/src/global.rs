@@ -501,6 +501,7 @@ fn global_round(
         // committed tree is never touched
         let deadline = ctx.deadline.clone();
         let eco = catch_unwind(AssertUnwindSafe(|| {
+            let _eco_prof = obs.prof_scope("global.eco");
             let mut trial = tree.clone();
             let (changed, after, star_after) = execute_eco(
                 &mut trial,
@@ -1317,6 +1318,10 @@ fn end_load_ff(tree: &ClockTree, lib: &Library, arc: &Arc) -> f64 {
 /// more faithfully than an open-source ECO stack can, so per-arc
 /// verification replaces that fidelity (DESIGN.md §4).
 ///
+/// `timings` is the golden analysis of `tree` as it enters; every rebuilt
+/// arc is re-timed incrementally from the analysis of the trial as it
+/// stands (see [`retime_arc`]).
+///
 /// Returns (arcs kept, final variation sum).
 #[allow(clippy::too_many_arguments)]
 fn execute_eco(
@@ -1343,7 +1348,7 @@ fn execute_eco(
     star_before: Option<f64>,
 ) -> (usize, f64, Option<f64>) {
     let n_corners = arc_d.len();
-    let timer = Timer::golden();
+    let timer = Timer::golden().with_obs(obs.clone());
     // collect candidate arcs with their requested deltas
     let mut todo: Vec<(f64, ArcId, Vec<f64>)> = Vec::new();
     for &aid in involved {
@@ -1370,11 +1375,9 @@ fn execute_eco(
     let mut current = variation_before;
     let mut current_star = star_before;
     // the paper's guarantee: no new max-cap / max-transition violations
-    let mut drc_budget: usize = timer
-        .analyze_all(tree, lib)
-        .iter()
-        .map(|t| t.violations().len())
-        .sum();
+    let mut drc_budget: usize = timings.iter().map(|t| t.violations().len()).sum();
+    // the golden analysis of the trial as it stands
+    let mut cur: Vec<CornerTiming> = timings.to_vec();
     for (_, aid, deltas) in todo {
         // cut mid-ECO: every accepted arc left the trial timed and
         // consistent, so stopping here yields a valid partial trial
@@ -1412,7 +1415,10 @@ fn execute_eco(
         }
         // golden re-timing: fidelity of the realized arc delta vs the LP
         // target, plus the variation / local-skew effect
-        let t_after: Vec<CornerTiming> = timer.analyze_all(tree, lib);
+        let t_after = {
+            let _retime_prof = obs.prof_scope("global.eco.retime");
+            retime_arc(&timer, tree, lib, &cur, &arc)
+        };
         let realized: Vec<f64> = t_after
             .iter()
             .map(|t| t.arrival_ps(arc.to) - t.arrival_ps(arc.from))
@@ -1466,6 +1472,7 @@ fn execute_eco(
             drc_budget = drc;
             current = after;
             current_star = after_star;
+            cur = t_after;
             changed += 1;
             obs.count("global.eco_accepted", 1);
         } else {
@@ -1488,6 +1495,54 @@ fn execute_eco(
     eco_span.record("arcs_kept", changed as u64);
     drop(eco_span);
     (changed, current, current_star)
+}
+
+/// The golden re-timing of an ECO trial after [`realize_arc`] rebuilt
+/// `arc`, from `cur`, the trial's analysis before the rebuild.
+///
+/// A rebuild rewires only `arc.from`'s net: the old interior buffers
+/// are gone, and the new chain buffers are new drivers, so their nets
+/// are extracted anyway. `arc.to` keeps its location, fanout and child
+/// routes, so the whole cone below it re-times from cached parasitics.
+/// `arc.from` is therefore the only dirty driver. Debug builds check
+/// the result against a full analysis bit for bit.
+///
+/// # Panics
+///
+/// Panics if the rebuilt trial cannot be timed, and, in debug builds,
+/// if the incremental analysis differs from a full one. In the global
+/// phase the λ trial's `catch_unwind` records either as a
+/// [`FaultKind::EcoPanic`].
+pub(crate) fn retime_arc(
+    timer: &Timer,
+    tree: &ClockTree,
+    lib: &Library,
+    cur: &[CornerTiming],
+    arc: &Arc,
+) -> Vec<CornerTiming> {
+    let after = match timer.try_analyze_all_incremental(tree, lib, cur, &[arc.from]) {
+        Ok(t) => t,
+        Err(e) => panic!(
+            "ECO trial at arc {}->{} cannot be timed: {e}",
+            arc.from, arc.to
+        ),
+    };
+    #[cfg(debug_assertions)]
+    {
+        // differential oracle; an uninstrumented timer keeps the obs
+        // counters equal across build profiles
+        let full = Timer::new(timer.options()).analyze_all(tree, lib);
+        for (f, i) in full.iter().zip(&after) {
+            assert!(
+                f.bit_identical(i),
+                "incremental ECO re-timing of arc {}->{} differs from a full analysis at {}",
+                arc.from,
+                arc.to,
+                f.corner()
+            );
+        }
+    }
+    after
 }
 
 /// Whether `arc` still describes the live chain between its junctions.

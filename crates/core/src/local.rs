@@ -8,14 +8,15 @@ use std::collections::BTreeMap;
 
 use clk_liberty::{CornerId, Library};
 use clk_netlist::{ClockTree, Floorplan, NodeId, SinkPair, TreeError};
-use clk_obs::{kv, LedgerRecord, Level};
+use clk_obs::{kv, LedgerRecord, Level, Obs, Profiler};
 use clk_sta::{
     alpha_factors, local_skew_ps, try_pair_skews, variation_report, CornerTiming, Timer,
     TimingError,
 };
 
 use crate::fault::{
-    FaultCtx, FaultKind, FaultSite, FlowError, PhaseBudget, PhaseProgress, RecoveryAction, TreeTxn,
+    FaultCtx, FaultKind, FaultPlan, FaultSite, FlowError, PhaseBudget, PhaseProgress,
+    RecoveryAction, TreeTxn,
 };
 use crate::moves::{apply_move, enumerate_moves, touched_drivers, Move, MoveConfig};
 use crate::predictor::{corners_of, CommittedNets, DeltaLatencyModel, Topo};
@@ -138,6 +139,92 @@ enum CandidateFailure {
     Apply(TreeError),
     Timing(TimingError),
     Drc { violations: usize, baseline: usize },
+}
+
+/// One candidate's golden verdict: the variation sum, the per-corner
+/// local skews, the sum priced under α*, and the realized trial tree.
+type CandidateResult = Result<(f64, Vec<f64>, Option<f64>, ClockTree), CandidateFailure>;
+
+/// Slot-indexed results of one worker's stripe.
+type Stripe = Vec<(usize, Option<CandidateResult>)>;
+
+/// What every candidate evaluation of a batch reads, shared read-only
+/// by the pool's threads: the committed tree and its per-corner
+/// analyses, the scoring inputs, and the instrumentation.
+struct EvalCtx<'a> {
+    tree: &'a ClockTree,
+    lib: &'a Library,
+    fp: &'a Floorplan,
+    move_cfg: &'a MoveConfig,
+    timings: &'a [CornerTiming],
+    pairs: &'a [SinkPair],
+    alphas: &'a [f64],
+    star: Option<&'a [f64]>,
+    drc_baseline: usize,
+    plan: Option<&'a FaultPlan>,
+    prof: Profiler,
+    obs: Obs,
+}
+
+/// Golden-evaluates stripe `w` of `n_workers`: the candidates in slots
+/// `w`, `w + n_workers`, … of `batch`. Each candidate is wrapped in its
+/// own `catch_unwind`: a typed failure or a panic poisons that slot
+/// only, and the committed tree is untouched either way because a
+/// candidate only ever mutates its private clone.
+fn eval_stripe(ctx: &EvalCtx<'_>, batch: &[(f64, Move)], w: usize, n_workers: usize) -> Stripe {
+    (w..batch.len())
+        .step_by(n_workers)
+        .map(|i| {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                eval_candidate(ctx, &batch[i].1)
+            }));
+            (i, r.ok())
+        })
+        .collect()
+}
+
+/// Applies `mv` to a clone of the committed tree and golden-times it.
+/// Timing is cone-limited incremental re-propagation from the committed
+/// tree's per-corner analyses — bit-identical to a full golden
+/// re-analysis, just skipping the untouched cone.
+fn eval_candidate(ctx: &EvalCtx<'_>, mv: &Move) -> CandidateResult {
+    // thread-scoped nesting: a spawned worker roots its own attribution
+    // subtree, the calling thread's nests under `local.batch`
+    let _eval_prof = ctx.prof.scope("local.eval");
+    if ctx.plan.is_some_and(|p| p.fire(FaultSite::WorkerPanic)) {
+        // clk-analyze: allow(A005) deliberate chaos-injection panic, absorbed by the phase transaction
+        panic!("chaos: injected worker panic");
+    }
+    let dirty = touched_drivers(ctx.tree, mv);
+    let mut trial = ctx.tree.clone();
+    {
+        let _g = ctx.prof.scope("apply");
+        apply_move(&mut trial, ctx.lib, ctx.fp, ctx.move_cfg, mv)
+            .map_err(CandidateFailure::Apply)?;
+    }
+    let sta_prof = ctx.prof.scope("golden_sta");
+    let analyses = Timer::golden()
+        .with_obs(ctx.obs.clone())
+        .try_analyze_all_incremental(&trial, ctx.lib, ctx.timings, &dirty)
+        .map_err(CandidateFailure::Timing)?;
+    drop(sta_prof);
+    let _score_prof = ctx.prof.scope("score");
+    let drc: usize = analyses.iter().map(|t| t.violations().len()).sum();
+    if drc > ctx.drc_baseline {
+        return Err(CandidateFailure::Drc {
+            violations: drc,
+            baseline: ctx.drc_baseline,
+        });
+    }
+    let skews = analyses
+        .iter()
+        .map(|t| try_pair_skews(t, ctx.pairs))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(CandidateFailure::Timing)?;
+    let sum = variation_report(&skews, ctx.alphas, None).sum;
+    let locals: Vec<f64> = skews.iter().map(|s| local_skew_ps(s)).collect();
+    let sum_star = ctx.star.map(|sa| variation_report(&skews, sa, None).sum);
+    Ok((sum, locals, sum_star, trial))
 }
 
 /// Runs Algorithm 2 on `tree` in place.
@@ -432,105 +519,44 @@ pub fn local_optimize_checked(
             );
             let _batch_prof = obs.prof_scope("local.batch");
             // Realize and golden-time the candidates on a striped pool
-            // of `workers` scoped threads (the paper uses R threads;
-            // with one worker this degrades gracefully to sequential
-            // evaluation). Worker `w` owns candidate slots w, w+W,
-            // w+2W, ... — a fixed assignment, so which thread evaluates
-            // a candidate never depends on scheduling. Each candidate
-            // is wrapped in its own `catch_unwind`: a typed failure or
-            // a panic poisons that slot only, and the committed tree is
-            // untouched either way because workers only ever mutate
-            // their private clone. Timing is cone-limited incremental
-            // re-propagation from the committed tree's per-corner
-            // analyses — bit-identical to a full golden re-analysis,
-            // just skipping the untouched cone.
-            let pairs_ref = &pairs;
-            let alphas_ref = &alphas;
-            let timings_ref = &timings;
-            let plan = ctx.plan;
-            let prof = obs.profiler();
-            type CandidateResult =
-                Result<(f64, Vec<f64>, Option<f64>, ClockTree), CandidateFailure>;
-            /// slot-indexed results one worker's stripe produced
-            type Stripe = Vec<(usize, Option<CandidateResult>)>;
+            // of `workers` threads, the calling one included (the paper
+            // uses R threads; with one worker this degrades gracefully to
+            // sequential evaluation on the caller). Worker `w` owns
+            // candidate slots w, w+W, w+2W, ... — a fixed assignment, so
+            // which thread evaluates a candidate never depends on
+            // scheduling. See `eval_stripe` for the per-candidate
+            // isolation and timing.
+            let eval = EvalCtx {
+                tree,
+                lib,
+                fp,
+                move_cfg: &cfg.move_cfg,
+                timings: &timings,
+                pairs: &pairs,
+                alphas: &alphas,
+                star,
+                drc_baseline,
+                plan: ctx.plan,
+                prof: obs.profiler(),
+                obs: obs.clone(),
+            };
+            let eval = &eval;
             let n_workers = workers.min(batch.len()).max(1);
             let mut results: Vec<Option<CandidateResult>> =
                 (0..batch.len()).map(|_| None).collect();
             let per_worker: Vec<Option<Stripe>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n_workers)
-                    .map(|w| {
-                        let tree_ref: &ClockTree = tree;
-                        let prof = prof.clone();
-                        let obs = obs.clone();
-                        // clk-analyze: allow(A101) PROF_STACK is thread_local: each worker roots its own attribution subtree, no cross-thread sharing
-                        scope.spawn(move || {
-                            let mut out: Stripe =
-                                Vec::with_capacity(batch.len().div_ceil(n_workers));
-                            for i in (w..batch.len()).step_by(n_workers) {
-                                let mv = &batch[i].1;
-                                // per-candidate isolation: a panic
-                                // poisons this slot, not the stripe
-                                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                    || -> CandidateResult {
-                                        // workers root their own
-                                        // attribution subtree
-                                        // (thread-scoped nesting)
-                                        let _eval_prof = prof.scope("local.eval");
-                                        if plan.is_some_and(|p| p.fire(FaultSite::WorkerPanic)) {
-                                            // clk-analyze: allow(A005) deliberate chaos-injection panic, absorbed by the phase transaction
-                                            panic!("chaos: injected worker panic");
-                                        }
-                                        let dirty = touched_drivers(tree_ref, mv);
-                                        let mut trial = tree_ref.clone();
-                                        {
-                                            let _g = prof.scope("apply");
-                                            apply_move(&mut trial, lib, fp, &cfg.move_cfg, mv)
-                                                .map_err(CandidateFailure::Apply)?;
-                                        }
-                                        let sta_prof = prof.scope("golden_sta");
-                                        let analyses = Timer::golden()
-                                            .with_obs(obs.clone())
-                                            .try_analyze_all_incremental(
-                                                &trial,
-                                                lib,
-                                                timings_ref,
-                                                &dirty,
-                                            )
-                                            .map_err(CandidateFailure::Timing)?;
-                                        drop(sta_prof);
-                                        let _score_prof = prof.scope("score");
-                                        let drc: usize =
-                                            analyses.iter().map(|t| t.violations().len()).sum();
-                                        if drc > drc_baseline {
-                                            return Err(CandidateFailure::Drc {
-                                                violations: drc,
-                                                baseline: drc_baseline,
-                                            });
-                                        }
-                                        let skews = analyses
-                                            .iter()
-                                            .map(|t| try_pair_skews(t, pairs_ref))
-                                            .collect::<Result<Vec<_>, _>>()
-                                            .map_err(CandidateFailure::Timing)?;
-                                        let sum = variation_report(&skews, alphas_ref, None).sum;
-                                        let locals: Vec<f64> =
-                                            skews.iter().map(|s| local_skew_ps(s)).collect();
-                                        let sum_star =
-                                            star.map(|sa| variation_report(&skews, sa, None).sum);
-                                        Ok((sum, locals, sum_star, trial))
-                                    },
-                                ))
-                                .ok();
-                                out.push((i, r));
-                            }
-                            out
-                        })
-                    })
+                let handles: Vec<_> = (1..n_workers)
+                    // clk-analyze: allow(A101) PROF_STACK is thread_local: each worker roots its own attribution subtree, no cross-thread sharing
+                    .map(|w| scope.spawn(move || eval_stripe(eval, batch, w, n_workers)))
                     .collect();
+                // the calling thread takes stripe 0, as in ranking; its
+                // evaluations nest under `local.batch`
+                let mut per_worker = vec![Some(eval_stripe(eval, batch, 0, n_workers))];
                 // a worker thread dying outside the per-candidate
                 // guard leaves its stripe's slots None (counted as
                 // panicked), never aborts the phase
-                handles.into_iter().map(|h| h.join().ok()).collect()
+                per_worker.extend(handles.into_iter().map(|h| h.join().ok()));
+                per_worker
             });
             // scatter by slot index: result order is the candidate
             // order, independent of worker count or completion order
@@ -539,6 +565,9 @@ pub fn local_optimize_checked(
                     results[i] = r;
                 }
             }
+            // the coordinator's own share of the batch: tallying the
+            // verdicts, then committing the winner
+            let _commit_prof = obs.prof_scope("local.commit");
             report.golden_evals += batch.len();
             obs.count("local.golden_evals", batch.len() as u64);
 

@@ -326,6 +326,13 @@ pub fn enumerate_moves(
 ///
 /// Everything further down the cone is discovered by the incremental
 /// walk itself, which descends exactly where arrivals/slews change.
+///
+/// The set is load-bearing, not a hint: the incremental analysis
+/// extracts only these drivers' nets (and new drivers') again, and every
+/// other net it re-times reuses the wire parasitics cached from before
+/// the move. It must therefore name every driver whose children, child
+/// routes or child pin caps the move changes; a driver it misses keeps
+/// stale parasitics without any error.
 pub fn touched_drivers(tree: &ClockTree, mv: &Move) -> Vec<NodeId> {
     let mut dirty = Vec::with_capacity(3);
     match *mv {

@@ -102,18 +102,82 @@ impl std::error::Error for TimingError {}
 
 /// The result of analyzing one corner: arrivals and slews at every node
 /// input, loads at every driver, and net capacitance totals (for power).
+///
+/// It also keeps, per node, the wire delay and wire slew its driver's
+/// net gave it. An incremental re-analysis reuses them for every net
+/// the edit left alone, so only the edited nets are extracted again.
 #[derive(Debug, Clone)]
 pub struct CornerTiming {
     corner: CornerId,
     arrival_ps: Vec<f64>,
     slew_ps: Vec<f64>,
     load_ff: Vec<f64>,
+    wire_delay_ps: Vec<f64>,
+    wire_slew_ps: Vec<f64>,
     wire_cap_ff: f64,
     pin_cap_ff: f64,
     violations: Vec<Violation>,
 }
 
 impl CornerTiming {
+    /// An analysis of `n` node ids with nothing timed yet: NaN arrival,
+    /// slew and wire values, 0 load. These are also the values a full
+    /// analysis leaves at dead and unreached ids.
+    fn unset(corner: CornerId, n: usize) -> Self {
+        CornerTiming {
+            corner,
+            arrival_ps: vec![f64::NAN; n],
+            slew_ps: vec![f64::NAN; n],
+            load_ff: vec![0.0; n],
+            wire_delay_ps: vec![f64::NAN; n],
+            wire_slew_ps: vec![f64::NAN; n],
+            wire_cap_ff: 0.0,
+            pin_cap_ff: 0.0,
+            violations: Vec::new(),
+        }
+    }
+
+    /// Fits the per-node arrays to `tree`'s id range and resets every
+    /// dead id to the [`CornerTiming::unset`] values, so an analysis of
+    /// the tree before an edit that grew or shrank it can seed an
+    /// incremental one of the tree after.
+    fn fit_to(&mut self, tree: &ClockTree) {
+        let n = id_range(tree);
+        self.arrival_ps.resize(n, f64::NAN);
+        self.slew_ps.resize(n, f64::NAN);
+        self.load_ff.resize(n, 0.0);
+        self.wire_delay_ps.resize(n, f64::NAN);
+        self.wire_slew_ps.resize(n, f64::NAN);
+        for i in 0..n {
+            if !tree.is_alive(NodeId(i as u32)) {
+                self.arrival_ps[i] = f64::NAN;
+                self.slew_ps[i] = f64::NAN;
+                self.load_ff[i] = 0.0;
+                self.wire_delay_ps[i] = f64::NAN;
+                self.wire_slew_ps[i] = f64::NAN;
+            }
+        }
+    }
+
+    /// Whether `self` and `other` agree bit for bit: every per-node
+    /// array (NaN slots must match as NaN), both capacitance totals and
+    /// the violation list. This is the contract an incremental
+    /// re-analysis keeps against a full one.
+    pub fn bit_identical(&self, other: &CornerTiming) -> bool {
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        self.corner == other.corner
+            && same(&self.arrival_ps, &other.arrival_ps)
+            && same(&self.slew_ps, &other.slew_ps)
+            && same(&self.load_ff, &other.load_ff)
+            && same(&self.wire_delay_ps, &other.wire_delay_ps)
+            && same(&self.wire_slew_ps, &other.wire_slew_ps)
+            && self.wire_cap_ff.to_bits() == other.wire_cap_ff.to_bits()
+            && self.pin_cap_ff.to_bits() == other.pin_cap_ff.to_bits()
+            && self.violations == other.violations
+    }
+
     /// The corner this analysis ran at.
     pub fn corner(&self) -> CornerId {
         self.corner
@@ -287,7 +351,6 @@ impl Timer {
             return self.analyze_inner(tree, lib, corner);
         }
         let _prof = self.obs.prof_scope("sta.analyze");
-        // clk-analyze: allow(A102) telemetry-only: behind obs.enabled(), feeds the sta.analyze.ms histogram, never the QoR
         let start = clk_obs::wall_now();
         let result = self.analyze_inner(tree, lib, corner);
         self.obs
@@ -334,20 +397,7 @@ impl Timer {
         lib: &Library,
         corner: CornerId,
     ) -> Result<CornerTiming, TimingError> {
-        let n = tree
-            .node_ids()
-            .map(|id| id.0 as usize + 1)
-            .max()
-            .unwrap_or(1);
-        let mut out = CornerTiming {
-            corner,
-            arrival_ps: vec![f64::NAN; n],
-            slew_ps: vec![f64::NAN; n],
-            load_ff: vec![0.0; n],
-            wire_cap_ff: 0.0,
-            pin_cap_ff: 0.0,
-            violations: Vec::new(),
-        };
+        let mut out = CornerTiming::unset(corner, id_range(tree));
         let root = tree.root();
         out.arrival_ps[root.0 as usize] = 0.0;
         out.slew_ps[root.0 as usize] = self.opts.source_slew_ps;
@@ -365,17 +415,16 @@ impl Timer {
             if tree.children(d).is_empty() {
                 continue;
             }
-            for c in self.time_net(tree, lib, wire_rc, corner, d, &mut out)? {
-                stack.push(c);
-            }
+            self.time_net(tree, lib, wire_rc, corner, d, &mut out)?;
+            stack.extend_from_slice(tree.children(d));
         }
         assemble(tree, lib, &mut out)?;
         Ok(out)
     }
 
-    /// Times one driver's fanout net: writes `load_ff[d]` and the
-    /// children's arrivals/slews into `out`, returning the children in
-    /// route order. Aggregates (caps, violations) are deliberately NOT
+    /// Times one driver's fanout net: extracts it, then writes
+    /// `load_ff[d]` and the children's wire values, arrivals and slews
+    /// into `out`. Aggregates (caps, violations) are deliberately NOT
     /// updated here — [`assemble`] recomputes them in one canonical walk
     /// so the full and incremental paths produce bit-identical results.
     fn time_net(
@@ -386,11 +435,10 @@ impl Timer {
         corner: CornerId,
         d: NodeId,
         out: &mut CornerTiming,
-    ) -> Result<Vec<NodeId>, TimingError> {
+    ) -> Result<(), TimingError> {
         let children = tree.children(d);
-        let cell = tree.cell(d).ok_or(TimingError::NoDriverCell(d))?;
-        let t_in = out.arrival_ps[d.0 as usize];
-        let s_in = out.slew_ps[d.0 as usize];
+        // a cell-less driver is reported before any of its routes
+        tree.cell(d).ok_or(TimingError::NoDriverCell(d))?;
 
         // Build the fanout wire tree from the actual routed paths.
         let mut wt = WireTree::new(tree.loc(d));
@@ -419,34 +467,36 @@ impl Timer {
         let load = nt.total_cap_ff();
         out.load_ff[d.0 as usize] = load;
 
-        let gate_delay = lib.gate_delay(cell, corner, s_in, load);
-        let gate_slew = lib.gate_output_slew(cell, corner, s_in, load);
-
-        let mut kids = Vec::with_capacity(ends.len());
         for (c, wnode) in ends {
             let rc_node = rct.rc_node_of_wire_node(wnode);
-            let wire_delay = nt.delay_ps(rc_node, self.opts.wire_model);
-            let wire_slew = nt.wire_slew_ps(rc_node);
-            out.arrival_ps[c.0 as usize] = t_in + gate_delay + wire_delay;
-            out.slew_ps[c.0 as usize] = peri_slew(gate_slew, wire_slew);
-            kids.push(c);
+            out.wire_delay_ps[c.0 as usize] = nt.delay_ps(rc_node, self.opts.wire_model);
+            out.wire_slew_ps[c.0 as usize] = nt.wire_slew_ps(rc_node);
         }
-        Ok(kids)
+        drive_net(tree, lib, corner, d, out)
     }
 
     /// Cone-limited incremental re-analysis: starting from a previous
-    /// analysis of a structurally compatible tree, re-times only the
+    /// analysis `prev` of the tree before an edit, re-times only the
     /// `dirty` driver nets (see `clk-core`'s `touched_drivers`) and the
     /// cone below them where arrivals or slews actually changed.
     /// Descent prunes on bit-equality: an untouched subtree whose head
-    /// arrival/slew is bit-identical re-derives the exact same values,
-    /// so the result is bit-identical to a full [`Timer::try_analyze`]
-    /// of the edited tree — the property the parallel local phase's
-    /// byte-stable QoR rests on.
+    /// arrival/slew is bit-identical re-derives the exact same values.
     ///
-    /// Falls back to a full analysis when `prev` does not match the tree
-    /// shape (different corner or node-id range, e.g. after an edit that
-    /// grew the tree).
+    /// Only a dirty driver's net, or a new driver's (an id past `prev`'s
+    /// range, or one `prev` left untimed), is extracted again. Every
+    /// other net in the cone reuses the load and the per-child wire
+    /// delays and slews cached in `prev`, and only its gate is re-timed
+    /// for the new input slew, with the same expressions as a full
+    /// analysis. The result is therefore bit-identical to a full
+    /// [`Timer::try_analyze`] of the edited tree — the property the
+    /// parallel local phase's byte-stable QoR and the global phase's
+    /// per-arc ECO check rest on — *provided* `dirty` names every
+    /// driver whose children, child routes or child pin caps changed.
+    /// A driver missing from it keeps its stale parasitics silently.
+    ///
+    /// The edit may grow or shrink the tree: the arrays are fitted to
+    /// the new id range and removed ids are reset, so there is no
+    /// fallback to a full analysis.
     ///
     /// # Errors
     ///
@@ -458,20 +508,11 @@ impl Timer {
         prev: &CornerTiming,
         dirty: &[NodeId],
     ) -> Result<CornerTiming, TimingError> {
-        let corner = prev.corner;
-        let n = tree
-            .node_ids()
-            .map(|id| id.0 as usize + 1)
-            .max()
-            .unwrap_or(1);
-        if prev.arrival_ps.len() != n {
-            return self.try_analyze(tree, lib, corner);
-        }
         let mut nodes_timed = 0;
         let result = self.incremental_inner(tree, lib, prev, dirty, &mut nodes_timed);
         if self.obs.enabled() {
             self.obs.count("sta.analyze.incremental", 1);
-            self.count_analysis(corner, &result, nodes_timed);
+            self.count_analysis(prev.corner, &result, nodes_timed);
         }
         result
     }
@@ -488,7 +529,14 @@ impl Timer {
     ) -> Result<CornerTiming, TimingError> {
         let corner = prev.corner;
         let mut out = prev.clone();
+        out.fit_to(tree);
         let wire_rc = lib.wire_rc(corner);
+        // `prev` holds no parasitics for a driver it did not time
+        let is_new = |d: NodeId| {
+            prev.arrival_ps
+                .get(d.0 as usize)
+                .is_none_or(|a| !a.is_finite())
+        };
 
         // Worklist ordered by (depth, id): a net is recomputed only
         // after every dirty ancestor net above it, so its input
@@ -518,9 +566,13 @@ impl Timer {
                     )
                 })
                 .collect();
-            let kids = self.time_net(tree, lib, wire_rc, corner, d, &mut out)?;
-            *nodes_timed += kids.len();
-            for (c, (a0, s0)) in kids.into_iter().zip(before) {
+            if dirty.contains(&d) || is_new(d) {
+                self.time_net(tree, lib, wire_rc, corner, d, &mut out)?;
+            } else {
+                drive_net(tree, lib, corner, d, &mut out)?;
+            }
+            *nodes_timed += children.len();
+            for (&c, (a0, s0)) in children.iter().zip(before) {
                 let changed = out.arrival_ps[c.0 as usize].to_bits() != a0
                     || out.slew_ps[c.0 as usize].to_bits() != s0;
                 if changed {
@@ -579,9 +631,47 @@ impl Timer {
     }
 }
 
-/// Depth of `n` below the root (root = 0); `None` if the parent chain
-/// is broken (node not attached to this tree).
+/// One past the highest live node id: the length of a full analysis's
+/// per-node arrays.
+fn id_range(tree: &ClockTree) -> usize {
+    tree.node_ids()
+        .map(|id| id.0 as usize + 1)
+        .max()
+        .unwrap_or(1)
+}
+
+/// Times driver `d`'s gate from its input arrival/slew and the load and
+/// per-child wire values already in `out`, and writes its children's
+/// arrivals and slews. [`Timer::time_net`] ends here after extracting
+/// the net; an incremental re-analysis calls it directly for a net the
+/// edit left alone.
+fn drive_net(
+    tree: &ClockTree,
+    lib: &Library,
+    corner: CornerId,
+    d: NodeId,
+    out: &mut CornerTiming,
+) -> Result<(), TimingError> {
+    let cell = tree.cell(d).ok_or(TimingError::NoDriverCell(d))?;
+    let t_in = out.arrival_ps[d.0 as usize];
+    let s_in = out.slew_ps[d.0 as usize];
+    let load = out.load_ff[d.0 as usize];
+    let gate_delay = lib.gate_delay(cell, corner, s_in, load);
+    let gate_slew = lib.gate_output_slew(cell, corner, s_in, load);
+    for &c in tree.children(d) {
+        let c = c.0 as usize;
+        out.arrival_ps[c] = t_in + gate_delay + out.wire_delay_ps[c];
+        out.slew_ps[c] = peri_slew(gate_slew, out.wire_slew_ps[c]);
+    }
+    Ok(())
+}
+
+/// Depth of `n` below the root (root = 0); `None` if `n` is dead or the
+/// parent chain is broken (node not attached to this tree).
 fn depth_of(tree: &ClockTree, n: NodeId) -> Option<u32> {
+    if !tree.is_alive(n) {
+        return None;
+    }
     let mut d = 0u32;
     let mut cur = n;
     while let Some(p) = tree.parent(cur) {
@@ -823,9 +913,125 @@ mod tests {
         assert_eq!(bits(&a.arrival_ps), bits(&b.arrival_ps), "arrivals");
         assert_eq!(bits(&a.slew_ps), bits(&b.slew_ps), "slews");
         assert_eq!(bits(&a.load_ff), bits(&b.load_ff), "loads");
+        assert_eq!(
+            bits(&a.wire_delay_ps),
+            bits(&b.wire_delay_ps),
+            "wire delays"
+        );
+        assert_eq!(bits(&a.wire_slew_ps), bits(&b.wire_slew_ps), "wire slews");
         assert_eq!(a.wire_cap_ff.to_bits(), b.wire_cap_ff.to_bits(), "wire cap");
         assert_eq!(a.pin_cap_ff.to_bits(), b.pin_cap_ff.to_bits(), "pin cap");
         assert_eq!(a.violations, b.violations, "violations");
+        assert!(a.bit_identical(b));
+    }
+
+    /// Full analyses of `t` at every corner, and incremental ones from
+    /// `prev` with `dirty`, must agree bit for bit.
+    fn assert_incremental_matches_full(
+        lib: &Library,
+        t: &ClockTree,
+        prev: &[CornerTiming],
+        dirty: &[NodeId],
+    ) {
+        let timer = Timer::golden();
+        let full = timer.try_analyze_all(t, lib).unwrap();
+        let inc = timer
+            .try_analyze_all_incremental(t, lib, prev, dirty)
+            .unwrap();
+        assert_eq!(full.len(), inc.len());
+        for (f, i) in full.iter().zip(&inc) {
+            assert_bit_identical(f, i);
+        }
+    }
+
+    /// An arc `a -> i1 -> i2 -> j` above a branching junction `j` with a
+    /// two-level cone below it, next to a side branch `a -> b3 -> s3`.
+    /// Returns the tree and `[a, i1, i2, j, b1, b3]`.
+    fn chain(lib: &Library) -> (ClockTree, [NodeId; 6]) {
+        let x4 = lib.cell_by_name("CLKINV_X4").unwrap();
+        let x8 = lib.cell_by_name("CLKINV_X8").unwrap();
+        let mut t = ClockTree::new(Point::new(0, 0), x8);
+        let a = t.add_node(NodeKind::Buffer(x8), Point::new(40_000, 0), t.root());
+        let i1 = t.add_node(NodeKind::Buffer(x4), Point::new(90_000, 10_000), a);
+        let i2 = t.add_node(NodeKind::Buffer(x4), Point::new(140_000, 20_000), i1);
+        let j = t.add_node(NodeKind::Buffer(x8), Point::new(190_000, 30_000), i2);
+        let b1 = t.add_node(NodeKind::Buffer(x4), Point::new(230_000, 60_000), j);
+        let b2 = t.add_node(NodeKind::Buffer(x4), Point::new(230_000, 0), j);
+        let b3 = t.add_node(NodeKind::Buffer(x4), Point::new(60_000, -50_000), a);
+        let s1 = t.add_node(NodeKind::Sink, Point::new(260_000, 80_000), b1);
+        let s2 = t.add_node(NodeKind::Sink, Point::new(260_000, -20_000), b2);
+        let s3 = t.add_node(NodeKind::Sink, Point::new(80_000, -90_000), b3);
+        t.set_sink_pairs(vec![SinkPair::new(s1, s2), SinkPair::new(s1, s3)]);
+        (t, [a, i1, i2, j, b1, b3])
+    }
+
+    /// The ECO engine's arc rebuild: tear out the interior buffers,
+    /// hang a new three-buffer chain under `from`, then re-parent and
+    /// re-route `to` under its last buffer. Returns the new chain.
+    fn rebuild_arc(
+        lib: &Library,
+        t: &mut ClockTree,
+        from: NodeId,
+        interior: &[NodeId],
+        to: NodeId,
+    ) -> Vec<NodeId> {
+        let x2 = lib.cell_by_name("CLKINV_X2").unwrap();
+        for &n in interior {
+            t.remove_buffer(n).unwrap();
+        }
+        let mut prev = from;
+        let mut chain = Vec::new();
+        for k in 1..=3 {
+            let loc = Point::new(40_000 + 35_000 * k, -10_000 * k);
+            prev = t.add_node(NodeKind::Buffer(x2), loc, prev);
+            chain.push(prev);
+        }
+        t.set_parent(to, prev).unwrap();
+        let detour = clk_route::RoutePath::with_detour(t.loc(prev), t.loc(to), 25.0);
+        t.set_route(to, detour).unwrap();
+        chain
+    }
+
+    #[test]
+    fn incremental_matches_full_after_eco_chain_rebuild() {
+        let lib = lib();
+        let (mut t, [a, i1, i2, j, ..]) = chain(&lib);
+        let prev = Timer::golden().try_analyze_all(&t, &lib).unwrap();
+        let n_before = prev[0].arrival_ps.len();
+        let new = rebuild_arc(&lib, &mut t, a, &[i1, i2], j);
+        assert!(new.iter().all(|n| n.0 as usize >= n_before), "tree grew");
+        // only the arc's driver is dirty: the new chain is timed because
+        // it is new, the cone below `j` from cached parasitics
+        assert_incremental_matches_full(&lib, &t, &prev, &[a]);
+    }
+
+    #[test]
+    fn incremental_matches_full_after_reassign() {
+        let lib = lib();
+        let (mut t, [_, _, _, j, b1, b3]) = chain(&lib);
+        let prev = Timer::golden().try_analyze_all(&t, &lib).unwrap();
+        // type-III surgery: `b1` moves from `j` to `b3`; its own net to
+        // its sink is clean and must take the cached path
+        t.set_parent(b1, b3).unwrap();
+        assert_incremental_matches_full(&lib, &t, &prev, &[j, b3]);
+    }
+
+    #[test]
+    fn incremental_matches_full_after_shrink() {
+        let lib = lib();
+        let (mut t, [a, i1, i2, j, ..]) = chain(&lib);
+        let new = rebuild_arc(&lib, &mut t, a, &[i1, i2], j);
+        let prev = Timer::golden().try_analyze_all(&t, &lib).unwrap();
+        // drop the two highest ids: `j` splices up onto the first new
+        // buffer, and the id range shrinks
+        t.remove_buffer(new[2]).unwrap();
+        t.remove_buffer(new[1]).unwrap();
+        let full = Timer::golden().try_analyze(&t, &lib, CornerId(0)).unwrap();
+        assert!(
+            full.arrival_ps.len() < prev[0].arrival_ps.len(),
+            "tree shrank"
+        );
+        assert_incremental_matches_full(&lib, &t, &prev, &[new[0]]);
     }
 
     #[test]
@@ -887,7 +1093,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_falls_back_when_tree_grew() {
+    fn incremental_matches_full_when_tree_grew() {
         let lib = lib();
         let (mut t, ..) = symmetric(&lib);
         let timer = Timer::golden();
@@ -897,7 +1103,7 @@ mod tests {
         let nb = t.add_node(NodeKind::Buffer(x8), Point::new(80_000, 10_000), b);
         let full = timer.try_analyze_all(&t, &lib).unwrap();
         // prev arrays are too short for the grown tree: the incremental
-        // entry point must detect that and fall back to a full analysis
+        // analysis fits them to the new id range and times the new net
         let inc = timer
             .try_analyze_all_incremental(&t, &lib, &prev, &[b, nb])
             .unwrap();
