@@ -13,7 +13,7 @@ use clk_cts::{Testcase, TestcaseKind};
 use clk_delay::{NetTiming, RcTree};
 use clk_geom::{Point, Rect};
 use clk_liberty::{CornerId, Library, StdCorners, WireRc};
-use clk_lp::{Problem, RowKind};
+use clk_lp::{Problem, RowKind, VarId};
 use clk_netlist::Floorplan;
 use clk_obs::{Level, Obs, ObsConfig};
 use clk_route::{rsmt, single_trunk, WireTree};
@@ -105,11 +105,145 @@ fn random_lp() -> Problem {
     p
 }
 
+/// An LP shaped like the global skew-variation LP (Eqs. (6)–(11)) at
+/// the size the 12-sink flow solves: bounded Δ⁺/Δ⁻ pairs per arc and
+/// corner on a random clock tree, and per sink pair ±1 path-sum rows
+/// whose `Ge` half starts infeasible (so phase 1 runs): 382 rows over
+/// 116 columns.
+fn global_shaped_lp() -> Problem {
+    const CORNERS: usize = 3;
+    const ARCS: usize = 16;
+    const PAIRS: usize = 20;
+    let mut seed = 11u64;
+    let mut next = move || {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        (seed >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let alphas = [1.0, 1.3, 0.8];
+    let mut p = Problem::new();
+    // arc a hangs below arc parent[a] (None: below the root)
+    let mut parent: Vec<Option<usize>> = vec![None];
+    for a in 1..ARCS {
+        parent.push(Some((next() * a as f64) as usize));
+    }
+    let delay: Vec<[f64; CORNERS]> = (0..ARCS)
+        .map(|_| {
+            let d = 40.0 + 120.0 * next();
+            [d, d * (1.2 + 0.1 * next()), d * (0.8 + 0.05 * next())]
+        })
+        .collect();
+    let delta: Vec<Vec<(VarId, VarId)>> = delay
+        .iter()
+        .map(|ds| {
+            ds.iter()
+                .map(|&d| {
+                    let pos = p.add_var(0.0, 0.25 * d, 0.5).unwrap();
+                    let neg = p.add_var(0.0, 0.3 * d, 0.5).unwrap();
+                    (pos, neg)
+                })
+                .collect()
+        })
+        .collect();
+    let leaves: Vec<usize> = (0..ARCS).filter(|&a| !parent.contains(&Some(a))).collect();
+    let path = |mut a: usize| {
+        let mut arcs = vec![a];
+        while let Some(up) = parent[a] {
+            arcs.push(up);
+            a = up;
+        }
+        arcs
+    };
+    let paths: Vec<Vec<usize>> = leaves.iter().map(|&l| path(l)).collect();
+    let lat = |path: &[usize], k: usize| path.iter().map(|&a| delay[a][k]).sum::<f64>();
+    let skew_terms = |pa: &[usize], pb: &[usize], k: usize, c: f64| {
+        let mut terms = Vec::new();
+        for (arcs, s) in [(pa, c), (pb, -c)] {
+            for &a in arcs {
+                let (pos, neg) = delta[a][k];
+                terms.push((pos, s));
+                terms.push((neg, -s));
+            }
+        }
+        terms
+    };
+    for i in 0..PAIRS {
+        let pa = &paths[i % paths.len()];
+        let pb = &paths[(i * 7 + 1) % paths.len()];
+        let s0: Vec<f64> = (0..CORNERS).map(|k| lat(pa, k) - lat(pb, k)).collect();
+        let v = p.add_var(0.0, f64::INFINITY, 1.0).unwrap();
+        // (6): V ≥ ±(αk·S_k − αk'·S_k')
+        for k in 0..CORNERS {
+            for k2 in (k + 1)..CORNERS {
+                let base = alphas[k] * s0[k] - alphas[k2] * s0[k2];
+                for sign in [1.0, -1.0] {
+                    let mut terms = vec![(v, 1.0)];
+                    terms.extend(skew_terms(pa, pb, k, -sign * alphas[k]));
+                    terms.extend(skew_terms(pa, pb, k2, sign * alphas[k2]));
+                    p.add_row(RowKind::Ge, sign * base, &terms).unwrap();
+                }
+            }
+        }
+        // (7): |S_k(Δ)| ≤ |S_k(0)|
+        for (k, &s0k) in s0.iter().enumerate() {
+            for sign in [1.0, -1.0] {
+                let terms = skew_terms(pa, pb, k, sign);
+                p.add_row(RowKind::Le, s0k.abs() - sign * s0k, &terms)
+                    .unwrap();
+            }
+        }
+        // (8): |αk·S_k − α0·S_0| may not grow
+        for k in 1..CORNERS {
+            let base = alphas[k] * s0[k] - alphas[0] * s0[0];
+            for sign in [1.0, -1.0] {
+                let mut terms = skew_terms(pa, pb, k, sign * alphas[k]);
+                terms.extend(skew_terms(pa, pb, 0, -sign * alphas[0]));
+                p.add_row(RowKind::Le, base.abs() - sign * base, &terms)
+                    .unwrap();
+            }
+        }
+    }
+    // (9): path latency bound per sink per corner
+    for path in &paths {
+        for k in 0..CORNERS {
+            let terms = skew_terms(path, &[], k, 1.0);
+            p.add_row(RowKind::Le, 0.05 * lat(path, k), &terms).unwrap();
+        }
+    }
+    // (11): cross-corner delay-ratio corridor per arc, k vs 0
+    for (a, ds) in delay.iter().enumerate() {
+        let (p0, n0) = delta[a][0];
+        for k in 1..CORNERS {
+            let hi = 1.05 * ds[k] / ds[0];
+            let (pk, nk) = delta[a][k];
+            p.add_row(
+                RowKind::Le,
+                hi * ds[0] - ds[k],
+                &[(pk, 1.0), (nk, -1.0), (p0, -hi), (n0, hi)],
+            )
+            .unwrap();
+        }
+    }
+    p
+}
+
 fn bench_lp(c: &mut Criterion) {
     let mut g = c.benchmark_group("lp");
     g.sample_size(10);
     let p = random_lp();
     g.bench_function("simplex_180x120", |b| {
+        b.iter_batched(|| p.clone(), |p| clk_lp::solve(&p), BatchSize::SmallInput);
+    });
+    // divide by the pivot count printed here for the per-pivot cost
+    let p = global_shaped_lp();
+    let pivots = clk_lp::solve(&p).map_or(0, |s| s.iterations);
+    println!(
+        "lp/global_shaped: {} rows x {} vars, {pivots} pivots per solve",
+        p.num_rows(),
+        p.num_vars()
+    );
+    g.bench_function("simplex_global_shaped", |b| {
         b.iter_batched(|| p.clone(), |p| clk_lp::solve(&p), BatchSize::SmallInput);
     });
     g.finish();

@@ -1015,7 +1015,7 @@ fn build_problem(
     }
 
     // Per-pair V variables and constraints (6)–(8).
-    for (pi, pair) in sel_pairs.iter().enumerate() {
+    for pair in sel_pairs {
         let v = p.add_var(0.0, f64::INFINITY, v_cost)?;
         v_vars.push(v);
         let pa = &path_of[&pair.a];
@@ -1041,7 +1041,6 @@ fn build_problem(
         let s0: Vec<f64> = (0..n_corners)
             .map(|k| timings[k].arrival_ps(pair.a) - timings[k].arrival_ps(pair.b))
             .collect();
-        let _ = pi;
         // (6): V ≥ ±(αk·S_k − αk'·S_k')
         for k in 0..n_corners {
             for k2 in (k + 1)..n_corners {

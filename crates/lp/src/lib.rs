@@ -9,12 +9,19 @@
 //! [`Problem`] models `min cᵀx` subject to sparse linear rows
 //! (`≤`, `=`, `≥`) and per-variable bounds (± infinity allowed). [`solve`]
 //! runs a **bounded-variable revised primal simplex** with an explicit
-//! dense basis inverse, two-phase start (artificial variables), Dantzig
+//! basis inverse, two-phase start (artificial variables), Dantzig
 //! pricing and a Bland anti-cycling fallback.
 //!
-//! The dense inverse bounds practical problems to a few thousand rows,
-//! which matches this workspace's scaled testcases (the paper offloads its
-//! LP to a commercial solver; see DESIGN.md §4).
+//! The inverse is stored as a dense column-major m×m array with an exact
+//! bitset of nonzero rows per column. ftran scatters only the nonzeros
+//! of the columns the entering column touches, btran sums each dual over
+//! the nonzero rows that carry a basic cost, and the eta update visits
+//! only the columns whose pivot-row entry is nonzero. The pivot sequence
+//! and every output bit are those of a plain dense row-major inverse.
+//! Memory is still m² floats, which bounds practical problems to a few
+//! thousand rows; this workspace's scaled testcases stay inside that
+//! (about 370 rows per global LP at 12 sinks; the paper offloads its LP
+//! to a commercial solver, see DESIGN.md §4).
 //!
 //! # Examples
 //!

@@ -1,4 +1,6 @@
-//! Bounded-variable revised primal simplex with explicit basis inverse.
+//! Bounded-variable revised primal simplex over an explicit basis
+//! inverse, stored column-major with an exact nonzero-row bitset per
+//! column so that ftran, btran and the eta update touch only nonzeros.
 
 use clk_obs::{kv, Deadline, Level, Obs, SIMPLEX_POLL_STRIDE};
 
@@ -380,11 +382,72 @@ struct Tableau {
     state: Vec<State>,
     /// variable basic in each row
     basis: Vec<usize>,
-    /// dense row-major basis inverse, m×m
+    /// dense column-major basis inverse, m×m: `binv[k*m + i]` is
+    /// `B⁻¹[i][k]`, so each column is one contiguous slice
     binv: Vec<f64>,
+    /// exact nonzero rows of each column of `binv`: `words` u64s per
+    /// column, bit `i` of column `k` set iff `binv[k*m + i] != 0.0`
+    nz: Vec<u64>,
+    /// u64 words per column bitset, `⌈m/64⌉`
+    words: usize,
     /// values of basic variables per row
     xb: Vec<f64>,
     m: usize,
+}
+
+/// Per-pivot buffers, allocated once per phase and reused.
+struct Work {
+    /// duals `B⁻ᵀ c_B`
+    y: Vec<f64>,
+    /// entering column `B⁻¹ A_j`
+    w: Vec<f64>,
+    /// basic cost of each row
+    cb: Vec<f64>,
+    /// rows whose basic cost is nonzero
+    cb_nz: Vec<u64>,
+}
+
+impl Work {
+    fn new(m: usize, words: usize) -> Self {
+        Work {
+            y: vec![0.0; m],
+            w: vec![0.0; m],
+            cb: vec![0.0; m],
+            cb_nz: vec![0; words],
+        }
+    }
+}
+
+/// Calls `f` on the index of every set bit of `words`, in ascending order.
+#[inline]
+fn each_bit(words: impl Iterator<Item = u64>, mut f: impl FnMut(usize)) {
+    for (wi, mut b) in words.enumerate() {
+        while b != 0 {
+            f(wi * 64 + b.trailing_zeros() as usize);
+            b &= b - 1;
+        }
+    }
+}
+
+/// Bit b set iff `chunk[b] != 0.0`, for a chunk of at most 64 entries.
+/// Eight entries at a time, which the compiler turns into vector
+/// compares instead of one 64-long serial chain.
+fn nonzero_bits(chunk: &[f64]) -> u64 {
+    let mut groups = chunk.chunks_exact(8);
+    let mut bits = 0u64;
+    let mut at = 0;
+    for g in &mut groups {
+        let byte = g
+            .iter()
+            .enumerate()
+            .fold(0u64, |b, (q, &v)| b | u64::from(v != 0.0) << q);
+        bits |= byte << at;
+        at += 8;
+    }
+    for (q, &v) in groups.remainder().iter().enumerate() {
+        bits |= u64::from(v != 0.0) << (at + q);
+    }
+    bits
 }
 
 // indices inside the tableau are constructed by the solver itself and are
@@ -402,32 +465,85 @@ impl Tableau {
         }
     }
 
-    /// w = B⁻¹ · A_j
-    fn ftran(&self, j: usize) -> Vec<f64> {
-        let m = self.m;
-        let mut w = vec![0.0; m];
-        for &(r, a) in &self.cols[j] {
-            for (i, wi) in w.iter_mut().enumerate() {
-                *wi += self.binv[i * m + r] * a;
-            }
-        }
-        w
+    fn col_bits(&self, k: usize) -> &[u64] {
+        &self.nz[k * self.words..(k + 1) * self.words]
     }
 
-    /// y = B⁻ᵀ · c_B for the given cost vector.
-    fn btran(&self, cost: &[f64]) -> Vec<f64> {
+    /// w = B⁻¹ · A_j, scattering only the nonzeros of the columns of B⁻¹
+    /// that A_j touches. Each w[i] sums its terms in the order of A_j's
+    /// entries; a skipped term is a ±0 that leaves the sum unchanged.
+    fn ftran(&self, j: usize, w: &mut [f64]) {
         let m = self.m;
-        let mut y = vec![0.0; m];
-        for i in 0..m {
-            let cb = cost[self.basis[i]];
-            if cb != 0.0 {
-                let row = &self.binv[i * m..(i + 1) * m];
-                for (k, yk) in y.iter_mut().enumerate() {
-                    *yk += cb * row[k];
-                }
+        w.fill(0.0);
+        for &(r, a) in &self.cols[j] {
+            let col = &self.binv[r * m..(r + 1) * m];
+            each_bit(self.col_bits(r).iter().copied(), |i| w[i] += col[i] * a);
+        }
+    }
+
+    /// y = B⁻ᵀ · c_B for the given cost vector, into `work.y`. Each y[k]
+    /// is a dot product over the rows that are nonzero in column k and
+    /// carry a nonzero basic cost, in ascending row order.
+    fn btran(&self, cost: &[f64], work: &mut Work) {
+        let m = self.m;
+        work.cb_nz.fill(0);
+        for (i, cb) in work.cb.iter_mut().enumerate() {
+            *cb = cost[self.basis[i]];
+            if *cb != 0.0 {
+                work.cb_nz[i / 64] |= 1 << (i % 64);
             }
         }
-        y
+        let (cb, cb_nz) = (&work.cb, &work.cb_nz);
+        for (k, yk) in work.y.iter_mut().enumerate() {
+            let col = &self.binv[k * m..(k + 1) * m];
+            let mut acc = 0.0;
+            let live = self.col_bits(k).iter().zip(cb_nz).map(|(a, b)| a & b);
+            each_bit(live, |i| acc += cb[i] * col[i]);
+            *yk = acc;
+        }
+    }
+
+    /// [`Self::btran`] into a fresh vector.
+    fn duals(&self, cost: &[f64]) -> Vec<f64> {
+        let mut work = Work::new(self.m, self.words);
+        self.btran(cost, &mut work);
+        work.y
+    }
+
+    /// Eta update of B⁻¹ for a pivot on row `r` with entering column
+    /// `w = B⁻¹ A_j`: divide row r by the pivot and subtract `w[i]` times
+    /// it from every other row i. Only the columns whose row-r entry is
+    /// nonzero are visited: in every other column, and in the rows with
+    /// `w[i] == 0` of a visited one, the update subtracts ±0, which can
+    /// flip the sign of a zero entry but never changes a nonzero value
+    /// or the outcome of a comparison.
+    fn eta_update(&mut self, r: usize, w: &[f64]) {
+        let (m, words) = (self.m, self.words);
+        let piv = w[r];
+        debug_assert!(piv.abs() > 1e-12, "pivot too small");
+        for k in 0..m {
+            if self.nz[k * words + r / 64] >> (r % 64) & 1 == 0 {
+                debug_assert!(self.binv[k * m + r] == 0.0, "stale bit of column {k}");
+                continue;
+            }
+            let col = &mut self.binv[k * m..(k + 1) * m];
+            let brk = col[r] / piv;
+            for (c, &f) in col.iter_mut().zip(w) {
+                *c -= f * brk;
+            }
+            col[r] = brk;
+            for (word, chunk) in self.nz[k * words..(k + 1) * words]
+                .iter_mut()
+                .zip(col.chunks(64))
+            {
+                *word = nonzero_bits(chunk);
+            }
+            debug_assert!(
+                (0..m).all(|i| (self.col_bits(k)[i / 64] >> (i % 64) & 1 == 1)
+                    == (self.binv[k * m + i] != 0.0)),
+                "column {k} bitset differs from its nonzero rows"
+            );
+        }
     }
 
     fn reduced_cost(&self, j: usize, y: &[f64], cost: &[f64]) -> f64 {
@@ -452,6 +568,10 @@ impl Tableau {
         let mut stats = PhaseStats::default();
         let mut degen_streak = 0usize;
         let n = self.cols.len();
+        let mut work = Work::new(self.m, self.words);
+        // a bound flip changes neither the basis nor the costs, so the
+        // duals of the previous pivot stay valid
+        let mut y_stale = true;
         loop {
             if stats.iters >= max_iters {
                 return Err(LpError::IterationLimit);
@@ -472,7 +592,11 @@ impl Tableau {
                 &self.cost
             };
             let pricing_prof = obs.prof_scope("pricing");
-            let y = self.btran(cost);
+            if y_stale {
+                self.btran(cost, &mut work);
+                y_stale = false;
+            }
+            let y = &work.y;
             // --- pricing ---
             let bland = degen_streak > 2 * self.m + 20;
             let mut enter: Option<(usize, f64, f64)> = None; // (var, dir, |d|)
@@ -483,7 +607,7 @@ impl Tableau {
                 if self.lo[j] == self.hi[j] {
                     continue; // fixed
                 }
-                let d = self.reduced_cost(j, &y, cost);
+                let d = self.reduced_cost(j, y, cost);
                 let dir = match self.state[j] {
                     State::AtLower if d < -TOL => 1.0,
                     State::AtUpper if d > TOL => -1.0,
@@ -522,7 +646,8 @@ impl Tableau {
             }
             // --- ratio test ---
             let ratio_prof = obs.prof_scope("ratio_test");
-            let w = self.ftran(j);
+            self.ftran(j, &mut work.w);
+            let w = &work.w;
             // entering may move at most its own range before flipping
             let own_range = self.hi[j] - self.lo[j]; // may be inf
             let mut t = if own_range.is_finite() {
@@ -609,20 +734,8 @@ impl Tableau {
                     } else {
                         State::FreeZero
                     };
-                    // eta update of B⁻¹ (pivot on row r)
-                    let m = self.m;
-                    let piv = w[r];
-                    debug_assert!(piv.abs() > 1e-12, "pivot too small");
-                    for k in 0..m {
-                        self.binv[r * m + k] /= piv;
-                    }
-                    for (i, &f) in w.iter().enumerate() {
-                        if i != r && f != 0.0 {
-                            for k in 0..m {
-                                self.binv[i * m + k] -= f * self.binv[r * m + k];
-                            }
-                        }
-                    }
+                    self.eta_update(r, w);
+                    y_stale = true;
                     self.basis[r] = j;
                     self.state[j] = State::Basic;
                     self.xb[r] = entering_val;
@@ -857,13 +970,19 @@ fn solve_inner(p: &Problem, obs: &Obs, deadline: &Deadline) -> Result<Certified,
     }
 
     // The initial basis is slacks (+1 columns) and artificials (±1
-    // columns); its inverse is diag(σ), not the identity. This is the
-    // (for now trivial) "refactor" bucket: the cost of materializing a
-    // basis inverse from scratch, which the sparse-LU rewrite will
-    // re-pay periodically instead of once.
+    // columns); its inverse is diag(σ), one nonzero per column. This is
+    // the (for now trivial) "refactor" bucket: the cost of materializing
+    // a basis inverse and its column bitsets from scratch, which an LU
+    // factorization would re-pay periodically instead of once.
     drop(setup_prof);
     let refactor_prof = obs.prof_scope("refactor");
-    let mut binv = identity(m);
+    let words = m.div_ceil(64);
+    let mut binv = vec![0.0; m * m];
+    let mut nz = vec![0u64; m * words];
+    for i in 0..m {
+        binv[i * m + i] = 1.0;
+        nz[i * words + i / 64] = 1 << (i % 64);
+    }
     for &(row, sign) in &art_sign {
         binv[row * m + row] = sign;
     }
@@ -877,6 +996,8 @@ fn solve_inner(p: &Problem, obs: &Obs, deadline: &Deadline) -> Result<Certified,
         state,
         basis,
         binv,
+        nz,
+        words,
         xb,
         m,
     };
@@ -893,7 +1014,7 @@ fn solve_inner(p: &Problem, obs: &Obs, deadline: &Deadline) -> Result<Certified,
             // phase-1 optimum with positive artificial mass: the phase-1
             // duals witness the contradiction (yᵀb exceeds the maximum of
             // yᵀAx over the bounds by exactly the residual infeasibility)
-            let y = t.btran(&t.phase_cost);
+            let y = t.duals(&t.phase_cost);
             return Ok(Certified::Infeasible {
                 ray: FarkasRay { y },
             });
@@ -948,7 +1069,7 @@ fn solve_inner(p: &Problem, obs: &Obs, deadline: &Deadline) -> Result<Certified,
     // rows still carrying a basic artificial (at value zero, i.e.
     // numerically redundant) are recorded with the REDUNDANT_ROW sentinel
     let n_internal = n_struct + m;
-    let y = t.btran(&t.cost);
+    let y = t.duals(&t.cost);
     let reduced: Vec<f64> = (0..n_internal)
         .map(|j| t.reduced_cost(j, &y, &t.cost))
         .collect();
@@ -977,15 +1098,6 @@ fn solve_inner(p: &Problem, obs: &Obs, deadline: &Deadline) -> Result<Certified,
             reduced,
         },
     }))
-}
-
-#[allow(clippy::indexing_slicing)] // m*m buffer indexed by i < m
-fn identity(m: usize) -> Vec<f64> {
-    let mut b = vec![0.0; m * m];
-    for i in 0..m {
-        b[i * m + i] = 1.0;
-    }
-    b
 }
 
 #[cfg(test)]

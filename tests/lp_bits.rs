@@ -1,0 +1,307 @@
+//! Bit-identity oracle for the simplex.
+//!
+//! Solves a seeded family of LPs and hashes every bit the solver hands
+//! back: `x`, `objective`, `iterations` and the whole `Certificate`
+//! (basis, status, `y`, reduced costs), or the Farkas ray / error of a
+//! solve that does not end optimal. The hash is pinned, so any change to
+//! the solver's internals that moves a single pivot, a single rounding or
+//! a single tie-break fails here, even when the optimum stays the same.
+//!
+//! Two families are solved:
+//! - LPs shaped like the global skew-variation LP (Eqs. (4)–(11)): many
+//!   more rows than columns, ±1 path-sum rows over bounded Δ⁺/Δ⁻ pairs,
+//!   `Ge` rows whose slack basis is infeasible (phase 1), integer data
+//!   and equal costs that make ties and degenerate pivots common, and
+//!   free variables pinned by equality rows. Some of them are made
+//!   infeasible on purpose so the Farkas path is hashed too.
+//! - Small dense boxes like the solver's own `random_lps_*` unit test.
+//!
+//! A change that legitimately moves the pivot sequence must re-record
+//! `EXPECTED` and say why in CHANGELOG.md.
+
+// float arithmetic is the domain here; the workspace lint exists for
+// exact-arithmetic code (clk-cert escalates it to deny)
+#![allow(clippy::float_arithmetic)]
+
+use clk_lp::{solve_certified, Certified, LpError, Problem, RowKind, VarId, VarStatus};
+
+/// Recorded from the solver before the column-major basis inverse.
+const EXPECTED: u64 = 0x384a_e407_0e5f_104e;
+
+const INF: f64 = f64::INFINITY;
+
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// FNV-1a over 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    fn f64s(&mut self, xs: &[f64]) {
+        self.word(xs.len() as u64);
+        for x in xs {
+            self.word(x.to_bits());
+        }
+    }
+}
+
+fn hash_outcome(h: &mut Fnv, r: &Result<Certified, LpError>) {
+    match r {
+        Ok(Certified::Optimal(s)) => {
+            h.word(1);
+            h.f64s(&s.x);
+            h.word(s.objective.to_bits());
+            h.word(s.iterations as u64);
+            let c = &s.certificate;
+            h.word(c.basis.len() as u64);
+            for &b in &c.basis {
+                h.word(b as u64);
+            }
+            h.word(c.status.len() as u64);
+            for st in &c.status {
+                h.word(match st {
+                    VarStatus::Basic => 0,
+                    VarStatus::AtLower => 1,
+                    VarStatus::AtUpper => 2,
+                    VarStatus::Free => 3,
+                });
+            }
+            h.f64s(&c.y);
+            h.f64s(&c.reduced);
+        }
+        Ok(Certified::Infeasible { ray }) => {
+            h.word(2);
+            h.f64s(&ray.y);
+        }
+        Err(e) => {
+            h.word(3);
+            for b in e.to_string().bytes() {
+                h.word(u64::from(b));
+            }
+        }
+    }
+}
+
+/// A random rooted tree of `n_arcs` arcs; returns each leaf's root path
+/// as a list of arc indices.
+fn leaf_paths(rng: &mut Rng, n_arcs: usize) -> Vec<Vec<usize>> {
+    // arc a hangs below node parent[a]; node 0 is the root, node a+1 is
+    // the head of arc a
+    let mut parent_arc: Vec<Option<usize>> = Vec::with_capacity(n_arcs);
+    let mut has_child = vec![false; n_arcs];
+    for a in 0..n_arcs {
+        let node = if a == 0 { 0 } else { rng.below(a + 1) };
+        let p = node.checked_sub(1);
+        if let Some(pa) = p {
+            has_child[pa] = true;
+        }
+        parent_arc.push(p);
+    }
+    (0..n_arcs)
+        .filter(|&a| !has_child[a])
+        .map(|leaf| {
+            let mut path = vec![leaf];
+            let mut cur = parent_arc[leaf];
+            while let Some(a) = cur {
+                path.push(a);
+                cur = parent_arc[a];
+            }
+            path.reverse();
+            path
+        })
+        .collect()
+}
+
+/// One LP shaped like the global skew-variation LP.
+fn global_shaped(rng: &mut Rng, n_arcs: usize, n_pairs: usize, infeasible: bool) -> Problem {
+    const CORNERS: usize = 3;
+    let alphas = [1.0, 1.25, 0.75];
+    let lambda = [0.5, 1.0, 2.0][rng.below(3)];
+    let mut p = Problem::new();
+    // Δ⁺/Δ⁻ per arc per corner; integer bounds and equal costs make ties
+    let mut delta: Vec<[(VarId, VarId); CORNERS]> = Vec::with_capacity(n_arcs);
+    for a in 0..n_arcs {
+        let frozen = a % 7 == 3;
+        let mut per = [(VarId(0), VarId(0)); CORNERS];
+        for slot in &mut per {
+            let (up, down) = if frozen {
+                (0.0, 0.0)
+            } else {
+                ((1 + rng.below(6)) as f64, rng.below(5) as f64)
+            };
+            let pos = p.add_var(0.0, up, lambda).unwrap();
+            let neg = p.add_var(0.0, down, lambda).unwrap();
+            *slot = (pos, neg);
+        }
+        delta.push(per);
+    }
+    let paths = leaf_paths(rng, n_arcs);
+    let lat: Vec<[f64; CORNERS]> = paths
+        .iter()
+        .map(|path| {
+            let mut l = [0.0; CORNERS];
+            for (k, lk) in l.iter_mut().enumerate() {
+                *lk = path.len() as f64 * (10.0 + 2.0 * k as f64) + rng.below(4) as f64;
+            }
+            l
+        })
+        .collect();
+    let sum_terms = |path: &[usize], k: usize, c: f64, terms: &mut Vec<(VarId, f64)>| {
+        for &a in path {
+            let (pos, neg) = delta[a][k];
+            terms.push((pos, c));
+            terms.push((neg, -c));
+        }
+    };
+    for _ in 0..n_pairs {
+        let a = rng.below(paths.len());
+        let b = (a + 1 + rng.below(paths.len().max(2) - 1)) % paths.len();
+        let v = p.add_var(0.0, INF, 1.0).unwrap();
+        // free skew variable per corner, pinned by an Eq row:
+        // u_k − S_k(Δ) = S_k(0)
+        let s0: Vec<f64> = (0..CORNERS).map(|k| lat[a][k] - lat[b][k]).collect();
+        let mut u = Vec::with_capacity(CORNERS);
+        for (k, &s0k) in s0.iter().enumerate() {
+            let uk = p.add_var(-INF, INF, 0.0).unwrap();
+            let mut terms = vec![(uk, 1.0)];
+            sum_terms(&paths[a], k, -1.0, &mut terms);
+            sum_terms(&paths[b], k, 1.0, &mut terms);
+            p.add_row(RowKind::Eq, s0k, &terms).unwrap();
+            u.push(uk);
+        }
+        // (6): V ≥ ±(αk·S_k − αk'·S_k'), written over the path sums so the
+        // slack basis starts infeasible wherever the skew is nonzero
+        for k in 0..CORNERS {
+            for k2 in (k + 1)..CORNERS {
+                let base = alphas[k] * s0[k] - alphas[k2] * s0[k2];
+                for sign in [1.0, -1.0] {
+                    let mut terms = vec![(v, 1.0)];
+                    sum_terms(&paths[a], k, -sign * alphas[k], &mut terms);
+                    sum_terms(&paths[b], k, sign * alphas[k], &mut terms);
+                    sum_terms(&paths[a], k2, sign * alphas[k2], &mut terms);
+                    sum_terms(&paths[b], k2, -sign * alphas[k2], &mut terms);
+                    p.add_row(RowKind::Ge, sign * base, &terms).unwrap();
+                }
+            }
+        }
+        // (7): |u_k| ≤ |S_k(0)|, on the free variables
+        for (k, &uk) in u.iter().enumerate() {
+            let cap = s0[k].abs();
+            p.add_row(RowKind::Le, cap, &[(uk, 1.0)]).unwrap();
+            p.add_row(RowKind::Ge, -cap, &[(uk, 1.0)]).unwrap();
+        }
+    }
+    // (9): path latency bound per leaf per corner
+    for path in &paths {
+        for k in 0..CORNERS {
+            let mut terms = Vec::new();
+            sum_terms(path, k, 1.0, &mut terms);
+            // an infeasible case asks every path to shrink by more than
+            // its Δ⁻ ranges allow
+            let slack = if infeasible {
+                -40.0
+            } else {
+                rng.below(3) as f64
+            };
+            p.add_row(RowKind::Le, slack, &terms).unwrap();
+        }
+    }
+    // (11): cross-corner ratio corridor per arc, k vs 0
+    for per in &delta {
+        let (p0, n0) = per[0];
+        for &(pk, nk) in &per[1..] {
+            let hi = 1.5;
+            p.add_row(
+                RowKind::Le,
+                4.0,
+                &[(pk, 1.0), (nk, -1.0), (p0, -hi), (n0, hi)],
+            )
+            .unwrap();
+        }
+    }
+    p
+}
+
+/// One small dense box like the solver's `random_lps_*` unit test.
+fn random_box(rng: &mut Rng, case: usize) -> Problem {
+    let nv = 3 + (case % 4);
+    let nr = 2 + (case % 5);
+    let mut p = Problem::new();
+    let vars: Vec<VarId> = (0..nv)
+        .map(|_| {
+            p.add_var(0.0, 1.0 + 4.0 * rng.unit(), 2.0 * rng.unit() - 1.0)
+                .unwrap()
+        })
+        .collect();
+    for r in 0..nr {
+        let terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 2.0 * rng.unit() - 0.5)).collect();
+        if r % 3 == 2 {
+            p.add_row(RowKind::Ge, -0.5 - rng.unit(), &terms).unwrap();
+        } else {
+            p.add_row(RowKind::Le, 0.5 + 3.0 * rng.unit(), &terms)
+                .unwrap();
+        }
+    }
+    p
+}
+
+#[test]
+fn simplex_outputs_are_bit_identical_to_the_recorded_run() {
+    let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut optimal = 0;
+    let mut infeasible = 0;
+    let mut pivots = 0;
+    for case in 0..24 {
+        let n_arcs = 5 + case % 5;
+        let n_pairs = n_arcs + 2 + case % 3;
+        let p = global_shaped(&mut rng, n_arcs, n_pairs, case % 8 == 5);
+        assert!(
+            2 * p.num_rows() > 3 * p.num_vars(),
+            "case {case}: fewer than 1.5 rows per column"
+        );
+        let r = solve_certified(&p);
+        match &r {
+            Ok(Certified::Optimal(s)) => {
+                optimal += 1;
+                pivots += s.iterations;
+            }
+            Ok(Certified::Infeasible { .. }) => infeasible += 1,
+            Err(_) => {}
+        }
+        hash_outcome(&mut h, &r);
+    }
+    for case in 0..40 {
+        let p = random_box(&mut rng, case);
+        hash_outcome(&mut h, &solve_certified(&p));
+    }
+    // the family must exercise what it claims to
+    assert!(optimal >= 16, "{optimal} optimal global-shaped LPs");
+    assert!(infeasible >= 2, "{infeasible} infeasible global-shaped LPs");
+    assert!(pivots >= 2000, "{pivots} pivots");
+    assert_eq!(
+        h.0, EXPECTED,
+        "simplex outputs moved: hash {:#018x}, recorded {EXPECTED:#018x}",
+        h.0
+    );
+}
