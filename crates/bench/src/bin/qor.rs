@@ -17,7 +17,9 @@
 //!   it at <https://ui.perfetto.dev> or `about://tracing`);
 //! * `--baseline PATH` — baseline to gate against (default
 //!   `qor-baseline.json`);
-//! * `--write-baseline` — refresh the baseline from this run and exit;
+//! * `--write-baseline` — refresh the baseline from this run and exit
+//!   (refused unless the tracked files match `HEAD`, so the baseline's
+//!   `git_rev` names the code that produced it);
 //! * `--self-diff` — diff this run against itself (sanity check of the
 //!   gate plumbing; always exits 0);
 //! * `--trajectory PATH` — append-only per-run QoR history (default
@@ -33,7 +35,7 @@
 
 use std::process::ExitCode;
 
-use clk_bench::{suite_cases, ExpArgs, PreparedCase};
+use clk_bench::{suite_cases, ExpArgs, PreparedCase, Provenance};
 use clk_netlist::TreeStats;
 use clk_obs::{chrome, json, Level, Obs, ObsConfig, SharedBuf, Value};
 use clk_qor::{diff_snapshots, QorSnapshot, TestcaseQor, TolerancePolicy};
@@ -70,18 +72,6 @@ fn parse_args() -> QorArgs {
     }
 }
 
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 fn main() -> ExitCode {
     let args = parse_args();
     let n = args
@@ -102,7 +92,16 @@ fn main() -> ExitCode {
     };
 
     println!("qor: suite '{suite_name}', seed {seed}, {n} sinks/testcase, flow global-local");
-    let mut snap = QorSnapshot::new(git_rev(), seed, suite_name);
+    let provenance = Provenance::of_checkout();
+    // a committed baseline must name the commit it was measured on
+    if args.write_baseline && provenance.dirty != Some(false) {
+        eprintln!(
+            "FAIL: refusing --write-baseline from a tree that differs from {} (commit first)",
+            provenance.rev
+        );
+        return ExitCode::FAILURE;
+    }
+    let mut snap = QorSnapshot::new(provenance.stamp(), seed, suite_name);
     let mut trace_events: Vec<Value> = Vec::new();
 
     for (i, case) in suite_cases(seed).into_iter().enumerate() {

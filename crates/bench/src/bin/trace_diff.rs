@@ -38,7 +38,7 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use clk_bench::{suite_cases, ExpArgs, PreparedCase};
+use clk_bench::{suite_cases, ExpArgs, PreparedCase, Provenance};
 use clk_obs::profile::{to_folded, tree_from_jsonl};
 use clk_obs::{dict, AttrNode, Level, MetricValue, Obs, ObsConfig, SharedBuf, Value};
 use clk_qor::{Direction, Tolerance, Verdict};
@@ -82,18 +82,6 @@ fn parse_args() -> Args {
         base: flag_val("--base"),
         cur: flag_val("--cur"),
     }
-}
-
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Everything captured from one profiled case run.
@@ -621,7 +609,7 @@ fn run_mode(args: &Args) -> Result<ExitCode, ExitCode> {
         exp.seed
     );
     let mut snap = ProfileSnapshot {
-        git_rev: git_rev(),
+        git_rev: Provenance::of_checkout().stamp(),
         seed: exp.seed,
         suite: suite.to_string(),
         cases: Vec::new(),

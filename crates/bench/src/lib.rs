@@ -15,6 +15,51 @@ pub use suite::{suite_cases, PreparedCase, SuiteCase};
 
 use std::time::Instant;
 
+/// The source revision a recorded artifact comes from: the commit and
+/// whether the tracked files differ from it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Provenance {
+    /// `HEAD`'s 12-digit short hash; `unknown` outside a git checkout.
+    pub rev: String,
+    /// Whether tracked files differ from `HEAD`; `None` when git cannot
+    /// tell.
+    pub dirty: Option<bool>,
+}
+
+impl Provenance {
+    /// Reads the provenance of the working directory's checkout.
+    pub fn of_checkout() -> Self {
+        let git = |args: &[&str]| {
+            std::process::Command::new("git")
+                .args(args)
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .and_then(|o| String::from_utf8(o.stdout).ok())
+        };
+        let rev = git(&["rev-parse", "--short=12", "HEAD"])
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty());
+        let dirty = rev.as_ref().and(
+            git(&["status", "--porcelain", "--untracked-files=no"]).map(|s| !s.trim().is_empty()),
+        );
+        Provenance {
+            rev: rev.unwrap_or_else(|| "unknown".to_string()),
+            dirty,
+        }
+    }
+
+    /// The stamp recorded artifacts carry: the rev, suffixed `-dirty`
+    /// unless the tree is known to be clean.
+    pub fn stamp(&self) -> String {
+        match self.dirty {
+            Some(false) => self.rev.clone(),
+            _ if self.rev == "unknown" => self.rev.clone(),
+            _ => format!("{}-dirty", self.rev),
+        }
+    }
+}
+
 /// Simple elapsed-time scope guard used by the experiment binaries.
 pub struct Stopwatch {
     label: String,
@@ -151,5 +196,21 @@ mod tests {
         assert!(h.contains("    1  "), "{h}");
         assert!(h.contains("    4  "), "{h}");
         assert_eq!(ascii_histogram(&[], 3, 10), "(no data)\n");
+    }
+
+    #[test]
+    fn provenance_stamp_marks_all_but_a_clean_tree() {
+        let at = |dirty| Provenance {
+            rev: "0123456789ab".to_string(),
+            dirty,
+        };
+        assert_eq!(at(Some(false)).stamp(), "0123456789ab");
+        assert_eq!(at(Some(true)).stamp(), "0123456789ab-dirty");
+        assert_eq!(at(None).stamp(), "0123456789ab-dirty");
+        let unknown = Provenance {
+            rev: "unknown".to_string(),
+            dirty: None,
+        };
+        assert_eq!(unknown.stamp(), "unknown");
     }
 }

@@ -71,5 +71,5 @@ pub use local::{
 };
 pub use lut::{RatioBounds, StageLuts};
 pub use moves::{apply_move, enumerate_moves, touched_drivers, Move, MoveConfig, Resize};
-pub use predictor::{CommittedNets, DeltaLatencyModel, ModelKind, TrainConfig};
+pub use predictor::{CommittedNets, DeltaLatencyModel, ModelKind, RankWork, TrainConfig};
 pub use replay::{replay_ledger, ReplayError};

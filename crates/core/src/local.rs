@@ -5,6 +5,8 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use clk_liberty::{CornerId, Library};
 use clk_netlist::{ClockTree, Floorplan, NodeId, SinkPair, TreeError};
@@ -19,11 +21,32 @@ use crate::fault::{
     RecoveryAction, TreeTxn,
 };
 use crate::moves::{apply_move, enumerate_moves, touched_drivers, Move, MoveConfig};
-use crate::predictor::{corners_of, CommittedNets, DeltaLatencyModel, Topo};
+use crate::predictor::{
+    corners_of, CommittedNets, DeltaLatencyModel, Group, RankWork, SharedNets, Topo,
+};
 use clk_delay::WireModel;
 
-/// Moves ranked between two deadline polls of the ranking sweep.
+/// Moves ranked between two deadline polls of the ranking sweep, at
+/// least: a block runs on to the end of the family (the moves of one
+/// primary node) its last move belongs to, so no family's shared nets
+/// are built twice.
 const RANK_BLOCK: usize = 64;
+
+/// The ranking blocks of `moves`, as move-index ranges in order. They
+/// depend on the move list alone.
+fn rank_blocks(moves: &[Move]) -> Vec<Range<usize>> {
+    let mut blocks = Vec::new();
+    let mut start = 0;
+    while start < moves.len() {
+        let mut end = (start + RANK_BLOCK).min(moves.len());
+        while end < moves.len() && moves[end].primary_node() == moves[end - 1].primary_node() {
+            end += 1;
+        }
+        blocks.push(start..end);
+        start = end;
+    }
+    blocks
+}
 
 /// How candidate moves are ranked before golden verification — the ML
 /// predictor in the paper's flow, with the analytical and random rankers
@@ -432,35 +455,57 @@ pub fn local_optimize_checked(
         // ---- rank all candidates by predicted variation reduction ----
         // The ranking workers read one per-iteration context. The
         // deadline is polled here, on the coordinator, before every
-        // block of RANK_BLOCK moves after the first — the same move
-        // indices at any worker count, so a poll-counted trip cuts at
-        // the same move.
+        // block after the first (`rank_blocks`); the blocks depend on
+        // the move list alone, so a poll-counted trip cuts at the same
+        // move at any worker count.
         let predict_prof = obs.prof_scope("local.predict");
-        let rank_ctx = match ranker {
-            Ranker::Random(_) => None,
-            _ => Some(RankContext::new(tree, lib, &timings, &pairs, &alphas)),
+        let mut cut = None;
+        let mut poll = |mv_no: usize| {
+            let out = ctx.out_of_time();
+            if out {
+                cut = Some(mv_no);
+            }
+            out
         };
-        let mut gains: Vec<f64> = Vec::with_capacity(moves.len());
-        for (block_no, block) in moves.chunks(RANK_BLOCK).enumerate() {
-            let mv_no = block_no * RANK_BLOCK;
-            if mv_no > 0 && ctx.out_of_time() {
-                ctx.record_interrupt(
-                    "local",
-                    RecoveryAction::Degrade,
-                    format!(
-                        "deadline cut scoring candidate {mv_no} at iteration {iter}; returning best-so-far"
-                    ),
-                );
-                iter_span.record("outcome", "interrupted");
-                interrupted = true;
-                break 'outer;
+        let ranked = match ranker {
+            Ranker::Random(_) => {
+                let mut gains = Vec::with_capacity(moves.len());
+                let mut stopped = false;
+                for (b, block) in rank_blocks(&moves).into_iter().enumerate() {
+                    if b > 0 && poll(block.start) {
+                        stopped = true;
+                        break;
+                    }
+                    gains.extend(block.map(|_| (xorshift() % 1_000) as f64));
+                }
+                (!stopped).then_some(gains)
             }
-            match &rank_ctx {
-                Some(rc) => gains.extend(rc.gains(block, &cfg.move_cfg, ranker, workers)),
-                None => gains.extend(block.iter().map(|_| (xorshift() % 1_000) as f64)),
+            _ => {
+                let rc = RankContext::new(tree, lib, &timings, &pairs, &alphas);
+                rc.gains_until(&moves, &cfg.move_cfg, ranker, workers, &mut poll)
+                    .map(|(gains, mut work)| {
+                        // a whole sweep's counts only: how far a cut
+                        // sweep got depends on thread timing
+                        work += rc.nets.work();
+                        obs.count("local.predict.routes", work.routes);
+                        obs.count("local.predict.extractions", work.extractions);
+                        gains
+                    })
             }
-        }
-        drop(rank_ctx);
+        };
+        let Some(gains) = ranked else {
+            let mv_no = cut.unwrap_or_default();
+            ctx.record_interrupt(
+                "local",
+                RecoveryAction::Degrade,
+                format!(
+                    "deadline cut scoring candidate {mv_no} at iteration {iter}; returning best-so-far"
+                ),
+            );
+            iter_span.record("outcome", "interrupted");
+            interrupted = true;
+            break 'outer;
+        };
         let mut scored: Vec<(f64, Move)> = gains
             .into_iter()
             .zip(moves)
@@ -880,7 +925,21 @@ impl<'a> RankContext<'a> {
     ///
     /// Panics for [`Ranker::Random`], which predicts nothing.
     pub fn gain(&self, mv: &Move, mcfg: &MoveConfig, ranker: Ranker<'_>) -> f64 {
-        let per_corner = self.nets.features(mv, mcfg);
+        let mut work = RankWork::default();
+        let mut shared = self.nets.shared(mv, mcfg, &mut work);
+        self.shared_gain(&mut shared, mv, mcfg, ranker, &mut work)
+    }
+
+    /// [`RankContext::gain`] of `mv` against the nets its group shares.
+    fn shared_gain(
+        &self,
+        shared: &mut SharedNets<'_>,
+        mv: &Move,
+        mcfg: &MoveConfig,
+        ranker: Ranker<'_>,
+        work: &mut RankWork,
+    ) -> f64 {
+        let per_corner = self.nets.shared_features(shared, mv, mcfg, work);
         let n_corners = per_corner.len();
         // per-sink deltas, resolved from per-corner (subtree root,
         // delta ps) impact sets
@@ -951,43 +1010,159 @@ impl<'a> RankContext<'a> {
         gain
     }
 
-    /// [`RankContext::gain`] of every move, striped over `workers`
-    /// scoped threads as the candidate-evaluation pool is: worker `w`
-    /// ranks moves `w`, `w + W`, … (the calling thread takes stripe 0),
-    /// and the gains are gathered by move index, so the result is the
-    /// same for every worker count.
+    /// [`RankContext::gain`] of every move, with what ranking them cost
+    /// (the committed nets' cost aside).
     pub fn gains(
         &self,
         moves: &[Move],
         mcfg: &MoveConfig,
         ranker: Ranker<'_>,
         workers: usize,
-    ) -> Vec<f64> {
-        let n_workers = workers.min(moves.len()).max(1);
-        let stripe = |w: usize| -> Vec<f64> {
-            (w..moves.len())
-                .step_by(n_workers)
-                .map(|i| self.gain(&moves[i], mcfg, ranker))
-                .collect()
-        };
-        let stripes: Vec<Vec<f64>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..n_workers)
-                .map(|w| scope.spawn(move || stripe(w)))
-                .collect();
-            let mut stripes = vec![stripe(0)];
-            for h in handles {
-                stripes.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-            }
-            stripes
-        });
-        let mut gains = vec![0.0; moves.len()];
-        for (w, stripe) in stripes.into_iter().enumerate() {
-            for (j, g) in stripe.into_iter().enumerate() {
-                gains[w + j * n_workers] = g;
-            }
-        }
-        gains
+    ) -> (Vec<f64>, RankWork) {
+        self.gains_until(moves, mcfg, ranker, workers, |_| false)
+            // clk-analyze: allow(A005) unreachable by construction: a hook that never stops never cuts the sweep
+            .unwrap_or_else(|| unreachable!("a sweep that is never stopped finishes"))
     }
+
+    /// [`RankContext::gains`], asking `stop` on the calling thread
+    /// before each ranking block after the first (`rank_blocks`), with
+    /// the block's first move index; `None` once it answers `true`.
+    ///
+    /// The moves are split into the groups that share their displaced
+    /// nets (a primary node's moves in one direction, or its
+    /// reassignments), and each group is ranked against one set of
+    /// shared nets. `workers` scoped threads (the calling thread one of
+    /// them, as in the candidate-evaluation pool) claim the groups in
+    /// order from a shared cursor, up to the end of the blocks released
+    /// so far. The calling thread asks `stop` about
+    /// (and releases) the next block once the last released one is
+    /// being claimed, so the others rarely wait, and the questions come
+    /// in block order, one per block, at any worker count. Gains are
+    /// gathered by move index and work counts summed, so a whole sweep's
+    /// result is the same for every worker count and interleaving.
+    pub fn gains_until(
+        &self,
+        moves: &[Move],
+        mcfg: &MoveConfig,
+        ranker: Ranker<'_>,
+        workers: usize,
+        mut stop: impl FnMut(usize) -> bool,
+    ) -> Option<(Vec<f64>, RankWork)> {
+        let groups = share_groups(moves);
+        // each block as a range of groups: blocks end at family ends,
+        // and families are contiguous in `groups`
+        let blocks: Vec<(usize, Range<usize>)> = rank_blocks(moves)
+            .into_iter()
+            .map(|b| {
+                let first = |mv: usize| groups.partition_point(|g| g[0] < mv);
+                (b.start, first(b.start)..first(b.end))
+            })
+            .collect();
+        let cursor = AtomicUsize::new(0);
+        let released = AtomicUsize::new(0);
+        let finished = AtomicBool::new(false);
+        let claim = || {
+            cursor
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
+                    (c < released.load(Ordering::Acquire)).then_some(c + 1)
+                })
+                .ok()
+        };
+        let rank = |g: usize, out: &mut Vec<(usize, f64)>, work: &mut RankWork| {
+            let mut shared = self.nets.shared(&moves[groups[g][0]], mcfg, work);
+            for &i in &groups[g] {
+                out.push((
+                    i,
+                    self.shared_gain(&mut shared, &moves[i], mcfg, ranker, work),
+                ));
+            }
+        };
+        let worker = || {
+            let (mut out, mut work) = (Vec::new(), RankWork::default());
+            loop {
+                if let Some(g) = claim() {
+                    rank(g, &mut out, &mut work);
+                } else if finished.load(Ordering::Acquire) {
+                    // every release happened before `finished`
+                    match claim() {
+                        Some(g) => rank(g, &mut out, &mut work),
+                        None => break,
+                    }
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+            (out, work)
+        };
+        let n_workers = workers.min(groups.len()).max(1);
+        let worker = &worker;
+        let (ranked, stopped) = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..n_workers).map(|_| scope.spawn(worker)).collect();
+            let (mut out, mut work) = (Vec::new(), RankWork::default());
+            let mut stopped = false;
+            let mut next = 0;
+            loop {
+                // keep one block released beyond the one being claimed
+                let ahead = next == 0 || cursor.load(Ordering::Acquire) >= blocks[next - 1].1.start;
+                if next < blocks.len() && ahead {
+                    let (first_move, range) = &blocks[next];
+                    if next > 0 && stop(*first_move) {
+                        // a cut sweep's gains are discarded: hand out no
+                        // more groups
+                        released.store(0, Ordering::Release);
+                        stopped = true;
+                        break;
+                    }
+                    released.store(range.end, Ordering::Release);
+                    next += 1;
+                } else if let Some(g) = claim() {
+                    rank(g, &mut out, &mut work);
+                } else if next == blocks.len() {
+                    // every block released and claimed
+                    break;
+                }
+                // else the others claimed the rest of the released
+                // blocks since `ahead` was read: release the next
+            }
+            finished.store(true, Ordering::Release);
+            let mut ranked = vec![(out, work)];
+            for h in handles {
+                ranked.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            (ranked, stopped)
+        });
+        if stopped {
+            return None;
+        }
+        let mut gains = vec![0.0; moves.len()];
+        let mut work = RankWork::default();
+        for (scored, scored_work) in ranked {
+            for (i, g) in scored {
+                gains[i] = g;
+            }
+            work += scored_work;
+        }
+        Some((gains, work))
+    }
+}
+
+/// `moves` split into the groups that share nets ([`Group`]), as indices
+/// into `moves`: family by family (a family is a run of moves of one
+/// primary node), each family's groups in order of first appearance.
+fn share_groups(moves: &[Move]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<(Group, Vec<usize>)> = Vec::new();
+    let mut family_start = 0;
+    for (i, mv) in moves.iter().enumerate() {
+        if i > 0 && moves[i - 1].primary_node() != mv.primary_node() {
+            family_start = groups.len();
+        }
+        let group = Group::of(mv);
+        match groups[family_start..].iter_mut().find(|(g, _)| *g == group) {
+            Some((_, members)) => members.push(i),
+            None => groups.push((group, vec![i])),
+        }
+    }
+    groups.into_iter().map(|(_, members)| members).collect()
 }
 
 /// Predicted reduction of the variation sum for one move: apply the

@@ -5,14 +5,19 @@
 //!
 //! The four analytical estimates share almost all of their work:
 //! routing depends on neither the corner nor the wire model, and one
-//! extraction per corner yields both wire models' delays. A move's
-//! changed nets are therefore routed once per topology and extracted
-//! once per (corner, topology), and the committed tree's own nets — the
-//! "before" side of every estimate — come from a [`CommittedNets`]
-//! built once per tree.
+//! extraction per corner yields both wire models' delays. The committed
+//! tree's own nets — the "before" side of every estimate — come from a
+//! [`CommittedNets`] built once per tree. The moves of one primary node
+//! share their "after" nets too: the moves of one `Group` are
+//! estimated against one `SharedNets`, which routes each displaced net
+//! once per topology and extracts it once per (corner, topology, load
+//! caps). A net whose caps differ from the shared ones (a resized child)
+//! is extracted on its own but reuses the route.
+
+use std::borrow::Cow;
 
 use clk_delay::{peri_slew, NetTiming, RcTree, WireModel};
-use clk_geom::{um_to_dbu, Point, Rect};
+use clk_geom::{um_to_dbu, Direction, Point, Rect};
 use clk_liberty::{CellId, CornerId, Library};
 use clk_ml::{Hsm, LsSvm, Mlp, MlpConfig, Regressor, StandardScaler};
 use clk_netlist::{ClockTree, Floorplan, NodeId, NodeKind};
@@ -31,13 +36,33 @@ pub enum Topo {
 }
 
 impl Topo {
-    /// Both topologies, in feature order.
+    /// Both topologies, in feature order: every `[_; 2]` of per-topology
+    /// values below is indexed like this array.
     const ALL: [Topo; 2] = [Topo::Flute, Topo::SingleTrunk];
 }
 
 /// Both wire models, in feature order: every `[_; 2]` of per-model
 /// values below is indexed like this array.
 const MODELS: [WireModel; 2] = [WireModel::Elmore, WireModel::D2m];
+
+/// Routes built and nets extracted by the fast estimates: the counts
+/// behind `local.predict.routes` and `local.predict.extractions`. They
+/// depend only on the tree and the moves ranked, never on the worker
+/// count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RankWork {
+    /// Steiner routes built (one per net and topology).
+    pub routes: u64,
+    /// RC extractions, each with its moment analysis.
+    pub extractions: u64,
+}
+
+impl std::ops::AddAssign for RankWork {
+    fn add_assign(&mut self, o: RankWork) {
+        self.routes += o.routes;
+        self.extractions += o.extractions;
+    }
+}
 
 /// Fast per-net estimate: gate + estimated-topology wire delay to each
 /// pin under each of [`MODELS`], with PERI slews (which do not depend
@@ -48,15 +73,40 @@ struct NetEst {
     pin_slew: Vec<f64>,
 }
 
+/// The wire half of one net's fast estimate at one corner: the load its
+/// driver sees and, per pin, both wire models' delays (indexed like
+/// [`MODELS`]) and the wire slew. [`NetRc::estimate`] adds the driving
+/// gate.
+#[derive(Debug, Clone)]
+struct NetRc {
+    load: f64,
+    pins: Vec<[f64; 3]>,
+}
+
+impl NetRc {
+    /// The net driven by `drv_cell` with input slew `slew_in`.
+    fn estimate(&self, lib: &Library, corner: CornerId, drv_cell: CellId, slew_in: f64) -> NetEst {
+        let gate = lib.gate_delay(drv_cell, corner, slew_in, self.load);
+        let gslew = lib.gate_output_slew(drv_cell, corner, slew_in, self.load);
+        NetEst {
+            pin_delay: std::array::from_fn(|m| self.pins.iter().map(|p| gate + p[m]).collect()),
+            pin_slew: self.pins.iter().map(|p| peri_slew(gslew, p[2])).collect(),
+        }
+    }
+}
+
 /// One net routed under one topology: the wire tree, each pin's node in
-/// it and each pin's load. The route serves every corner.
+/// it and each pin's load. The route serves every corner and every set
+/// of pin caps.
+#[derive(Debug, Clone)]
 struct RoutedNet {
     wt: WireTree,
     loads: Vec<(usize, f64)>,
 }
 
 impl RoutedNet {
-    fn new(topo: Topo, drv_loc: Point, pins: &[(Point, f64)]) -> Self {
+    fn new(topo: Topo, drv_loc: Point, pins: &[(Point, f64)], work: &mut RankWork) -> Self {
+        work.routes += 1;
         let pts: Vec<Point> = pins.iter().map(|&(p, _)| p).collect();
         let wt = match topo {
             Topo::Flute => rsmt(drv_loc, &pts),
@@ -69,30 +119,66 @@ impl RoutedNet {
         RoutedNet { wt, loads }
     }
 
-    /// Extracts the net at `corner` and reads both wire models from the
-    /// one moment analysis.
-    fn estimate(&self, lib: &Library, corner: CornerId, drv_cell: CellId, slew_in: f64) -> NetEst {
-        // lumped extraction: this is the *fast* estimate, not golden
-        let rct = RcTree::extract(&self.wt, lib.wire_rc(corner), &self.loads, 1.0e9);
-        let nt = NetTiming::analyze(&rct);
-        let load = nt.total_cap_ff();
-        let gate = lib.gate_delay(drv_cell, corner, slew_in, load);
-        let gslew = lib.gate_output_slew(drv_cell, corner, slew_in, load);
-        let n = self.loads.len();
-        let mut est = NetEst {
-            pin_delay: [Vec::with_capacity(n), Vec::with_capacity(n)],
-            pin_slew: Vec::with_capacity(n),
-        };
-        for &(w, _) in &self.loads {
-            let rc_node = rct.rc_node_of_wire_node(w);
-            for (m, model) in MODELS.into_iter().enumerate() {
-                est.pin_delay[m].push(gate + nt.delay_ps(rc_node, model));
-            }
-            est.pin_slew
-                .push(peri_slew(gslew, nt.wire_slew_ps(rc_node)));
-        }
-        est
+    /// This route's loads with pin `pin`'s cap replaced by `cap`.
+    fn loads_with(&self, pin: usize, cap: f64) -> Vec<(usize, f64)> {
+        let mut loads = self.loads.clone();
+        loads[pin].1 = cap;
+        loads
     }
+
+    /// Extracts the net at `corner` with its pins loaded as `loads` (this
+    /// route's pins, in order) and reads both wire models from the one
+    /// moment analysis.
+    fn analyze(
+        &self,
+        lib: &Library,
+        corner: CornerId,
+        loads: &[(usize, f64)],
+        work: &mut RankWork,
+    ) -> NetRc {
+        work.extractions += 1;
+        // lumped extraction: this is the *fast* estimate, not golden
+        let rct = RcTree::extract(&self.wt, lib.wire_rc(corner), loads, 1.0e9);
+        let nt = NetTiming::analyze(&rct);
+        let pins = loads
+            .iter()
+            .map(|&(w, _)| {
+                let rc_node = rct.rc_node_of_wire_node(w);
+                let [elmore, d2m] = MODELS.map(|model| nt.delay_ps(rc_node, model));
+                [elmore, d2m, nt.wire_slew_ps(rc_node)]
+            })
+            .collect();
+        NetRc {
+            load: nt.total_cap_ff(),
+            pins,
+        }
+    }
+}
+
+/// A net under both topologies, in [`Topo::ALL`] order.
+fn route_both(drv_loc: Point, pins: &[(Point, f64)], work: &mut RankWork) -> [RoutedNet; 2] {
+    Topo::ALL.map(|t| RoutedNet::new(t, drv_loc, pins, work))
+}
+
+/// Both routes of a net analyzed at every corner of `corners`, as
+/// `[corner][topo]`; `change` replaces one pin's cap.
+fn analyze_corners(
+    routes: &[RoutedNet; 2],
+    lib: &Library,
+    corners: &[(CornerId, &CornerTiming)],
+    change: Option<(usize, f64)>,
+    work: &mut RankWork,
+) -> Vec<[NetRc; 2]> {
+    let loads: [Cow<'_, [(usize, f64)]>; 2] = routes.each_ref().map(|r| match change {
+        None => Cow::Borrowed(&r.loads[..]),
+        Some((pin, cap)) => Cow::Owned(r.loads_with(pin, cap)),
+    });
+    corners
+        .iter()
+        .map(|&(corner, _)| {
+            std::array::from_fn(|t| routes[t].analyze(lib, corner, &loads[t], work))
+        })
+        .collect()
 }
 
 fn pin_cap(tree: &ClockTree, lib: &Library, node: NodeId) -> f64 {
@@ -143,9 +229,26 @@ pub struct MoveEstimate {
     pub side_effects: Vec<(NodeId, f64)>,
 }
 
-/// Per-model estimates of one move at one corner, indexed like
-/// [`MODELS`].
-type ModelPair = [MoveEstimate; 2];
+/// One move's estimates at one corner: the primary delta under every
+/// topology and wire model (`[topo][model]`), and the FLUTE×D2M
+/// estimate in full — the only one ranking reads beyond its primary
+/// delta.
+struct CornerEst {
+    primary: [[f64; 2]; 2],
+    detail: MoveEstimate,
+}
+
+/// Index of D2M in [`MODELS`].
+const D2M: usize = 1;
+
+/// A committed driver net: both routes, and at every corner both
+/// routes' wire analysis and estimate (`[corner][topo]`).
+#[derive(Debug)]
+struct DriverNets {
+    routes: [RoutedNet; 2],
+    rc: Vec<[NetRc; 2]>,
+    est: Vec<[NetEst; 2]>,
+}
 
 /// Fast estimates of a committed tree's own driver nets — the "before"
 /// side of every move estimate — at a set of corners, under both
@@ -157,9 +260,10 @@ pub struct CommittedNets<'a> {
     tree: &'a ClockTree,
     lib: &'a Library,
     corners: Vec<(CornerId, &'a CornerTiming)>,
-    /// `nets[driver][corner][topo]`, indexed by node id; empty for
-    /// nodes not covered.
-    nets: Vec<Vec<[NetEst; 2]>>,
+    /// Indexed by node id; `None` for nodes not covered.
+    nets: Vec<Option<DriverNets>>,
+    /// What building the nets cost.
+    work: RankWork,
 }
 
 impl<'a> CommittedNets<'a> {
@@ -197,89 +301,211 @@ impl<'a> CommittedNets<'a> {
         drivers: impl IntoIterator<Item = NodeId>,
     ) -> Self {
         let slots = tree.node_ids().map(|n| n.0 as usize + 1).max().unwrap_or(0);
-        let mut nets: Vec<Vec<[NetEst; 2]>> = (0..slots).map(|_| Vec::new()).collect();
+        let mut nets: Vec<Option<DriverNets>> = (0..slots).map(|_| None).collect();
+        let mut work = RankWork::default();
         for d in drivers {
             let Some(cell) = tree.cell(d) else { continue };
             if tree.children(d).is_empty() {
                 continue;
             }
-            let pins = pins_of(tree, lib, d);
-            let routes = Topo::ALL.map(|t| RoutedNet::new(t, tree.loc(d), &pins));
-            nets[d.0 as usize] = corners
+            let routes = route_both(tree.loc(d), &pins_of(tree, lib, d), &mut work);
+            let rc = analyze_corners(&routes, lib, &corners, None, &mut work);
+            let est = rc
                 .iter()
-                .map(|&(corner, timing)| {
-                    routes
-                        .each_ref()
+                .zip(&corners)
+                .map(|(rc, &(corner, timing))| {
+                    rc.each_ref()
                         .map(|r| r.estimate(lib, corner, cell, timing.slew_ps(d)))
                 })
                 .collect();
+            nets[d.0 as usize] = Some(DriverNets { routes, rc, est });
         }
         CommittedNets {
             tree,
             lib,
             corners,
             nets,
+            work,
         }
+    }
+
+    /// Routes built and nets extracted building these nets.
+    pub(crate) fn work(&self) -> RankWork {
+        self.work
+    }
+
+    fn driver(&self, driver: NodeId) -> &DriverNets {
+        self.nets[driver.0 as usize]
+            .as_ref()
+            .expect("committed net of a covered driver")
     }
 
     /// The committed net of `driver` at the `ci`-th corner.
     fn committed(&self, driver: NodeId, ci: usize, topo: Topo) -> &NetEst {
-        &self.nets[driver.0 as usize][ci][topo as usize]
+        &self.driver(driver).est[ci][topo as usize]
     }
 
     /// The model input of [`move_features`] for `mv` at every corner,
     /// each with the FLUTE×D2M [`MoveEstimate`], in corner order.
     pub fn features(&self, mv: &Move, cfg: &MoveConfig) -> Vec<(Vec<f64>, MoveEstimate)> {
-        let flute = self.estimates(mv, cfg, Topo::Flute);
-        let trunk = self.estimates(mv, cfg, Topo::SingleTrunk);
-        let tail = descriptor_features(self.tree, self.lib, mv, cfg);
-        flute
+        let mut work = RankWork::default();
+        let mut shared = self.shared(mv, cfg, &mut work);
+        self.shared_features(&mut shared, mv, cfg, &mut work)
+    }
+
+    /// The nets `mv`'s [`Group`] shares, for [`CommittedNets::shared_features`]
+    /// of every move of that group.
+    pub(crate) fn shared(
+        &self,
+        mv: &Move,
+        cfg: &MoveConfig,
+        work: &mut RankWork,
+    ) -> SharedNets<'_> {
+        let (tree, lib) = (self.tree, self.lib);
+        let group = Group::of(mv);
+        let node = mv.primary_node();
+        let nets = match group {
+            Group::Displace(_, dir) => {
+                let new_loc = match dir {
+                    Some(d) => tree.loc(node).step(d, um_to_dbu(cfg.displace_um)),
+                    None => tree.loc(node),
+                };
+                // the parent's net with `node` displaced; its pin keeps
+                // the cap until a move resizes it
+                let parent = tree.parent(node).map(|p| {
+                    let idx = tree
+                        .children(p)
+                        .iter()
+                        .position(|&c| c == node)
+                        .expect("node under p");
+                    let routes = match dir {
+                        None => Cow::Borrowed(&self.driver(p).routes),
+                        Some(_) => {
+                            let mut after = pins_of(tree, lib, p);
+                            after[idx].0 = new_loc;
+                            Cow::Owned(route_both(tree.loc(p), &after, work))
+                        }
+                    };
+                    ParentNets {
+                        p,
+                        cell: tree.cell(p).expect("driver"),
+                        idx,
+                        routes,
+                        est: [None, None, None],
+                    }
+                });
+                // node's own net from its new location
+                let own = (!tree.children(node).is_empty()).then(|| match dir {
+                    None => {
+                        let committed = self.driver(node);
+                        OwnNets {
+                            routes: Cow::Borrowed(&committed.routes),
+                            rc: Some(Cow::Borrowed(&committed.rc[..])),
+                        }
+                    }
+                    Some(_) => OwnNets {
+                        routes: Cow::Owned(route_both(new_loc, &pins_of(tree, lib, node), work)),
+                        rc: None,
+                    },
+                });
+                Shared::Displace { parent, own }
+            }
+            Group::Reassign(_) => {
+                // the old driver's net without `node`: the same for every
+                // new parent
+                let p = tree.parent(node).expect("non-root");
+                let old_kids = tree.children(p);
+                let rem = (old_kids.len() > 1).then(|| {
+                    let remaining: Vec<(Point, f64)> = pins_of(tree, lib, p)
+                        .into_iter()
+                        .zip(old_kids)
+                        .filter(|&(_, &c)| c != node)
+                        .map(|(pin, _)| pin)
+                        .collect();
+                    let routes = route_both(tree.loc(p), &remaining, work);
+                    let cell = tree.cell(p).expect("driver");
+                    analyze_corners(&routes, lib, &self.corners, None, work)
+                        .iter()
+                        .zip(&self.corners)
+                        .map(|(rc, &(corner, timing))| {
+                            rc.each_ref()
+                                .map(|r| r.estimate(lib, corner, cell, timing.slew_ps(p)))
+                        })
+                        .collect()
+                });
+                Shared::Reassign { rem }
+            }
+        };
+        SharedNets {
+            group,
+            nets,
+            geometry: geometry(tree, node),
+        }
+    }
+
+    /// [`CommittedNets::features`] of `mv` against the nets its group
+    /// shares.
+    pub(crate) fn shared_features(
+        &self,
+        shared: &mut SharedNets<'_>,
+        mv: &Move,
+        cfg: &MoveConfig,
+        work: &mut RankWork,
+    ) -> Vec<(Vec<f64>, MoveEstimate)> {
+        debug_assert_eq!(
+            shared.group,
+            Group::of(mv),
+            "{mv} estimated on another group"
+        );
+        let (tree, lib) = (self.tree, self.lib);
+        let per_corner = match (*mv, &mut shared.nets) {
+            (Move::SizeDisplace { node, resize, .. }, Shared::Displace { parent, own }) => {
+                let new_cell = resized(lib, tree.cell(node).expect("buffer"), resize);
+                self.driver_change(parent, own, node, new_cell, resize, None, work)
+            }
+            (
+                Move::ChildSize {
+                    node,
+                    child,
+                    child_resize,
+                    ..
+                },
+                Shared::Displace { parent, own },
+            ) => {
+                let cell = tree.cell(node).expect("buffer");
+                let child_cell = tree.cell(child).expect("buffer child");
+                let new_child_cell = resized(lib, child_cell, child_resize);
+                let change = Some((child, new_child_cell));
+                self.driver_change(parent, own, node, cell, Resize::None, change, work)
+            }
+            (Move::Reassign { node, new_parent }, Shared::Reassign { rem }) => {
+                self.reassign(rem.as_ref(), node, new_parent, work)
+            }
+            // clk-analyze: allow(A005) unreachable by construction: Group::of picks the variant
+            _ => unreachable!("{mv} does not belong to its shared group"),
+        };
+        let [fanout, area, aspect] = shared.geometry;
+        let [ddrive, dist, dcap] = move_descriptors(tree, lib, mv, cfg);
+        per_corner
             .into_iter()
-            .zip(trunk)
-            .map(|([fe, fd], [te, td])| {
-                let mut f = Vec::with_capacity(N_FEATURES);
-                f.extend([fe.primary_delta, fd.primary_delta]);
-                f.extend([te.primary_delta, td.primary_delta]);
-                f.extend_from_slice(&tail);
+            .map(|CornerEst { primary, detail }| {
+                let [[fe, fd], [te, td]] = primary;
+                let f = vec![fe, fd, te, td, fanout, area, aspect, ddrive, dist, dcap];
                 debug_assert_eq!(f.len(), N_FEATURES);
-                (f, fd)
+                (f, detail)
             })
             .collect()
     }
 
-    /// Per-corner estimates of `mv` under `topo`.
-    fn estimates(&self, mv: &Move, cfg: &MoveConfig, topo: Topo) -> Vec<ModelPair> {
-        let (tree, lib) = (self.tree, self.lib);
-        let step = um_to_dbu(cfg.displace_um);
-        match *mv {
-            Move::SizeDisplace { node, dir, resize } => {
-                let new_loc = match dir {
-                    Some(d) => tree.loc(node).step(d, step),
-                    None => tree.loc(node),
-                };
-                let old_cell = tree.cell(node).expect("buffer");
-                let new_cell = resized(lib, old_cell, resize);
-                self.driver_change(node, new_loc, new_cell, &[], topo)
-            }
-            Move::ChildSize {
-                node,
-                dir,
-                child,
-                child_resize,
-            } => {
-                let new_loc = tree.loc(node).step(dir, step);
-                let cell = tree.cell(node).expect("buffer");
-                let child_cell = tree.cell(child).expect("buffer child");
-                let new_child_cell = resized(lib, child_cell, child_resize);
-                self.driver_change(node, new_loc, cell, &[(child, new_child_cell)], topo)
-            }
-            Move::Reassign { node, new_parent } => self.reassign(node, new_parent, topo),
-        }
-    }
-
-    /// Type III: `node` leaves its driver's net and joins
-    /// `new_parent`'s.
-    fn reassign(&self, node: NodeId, new_parent: NodeId, topo: Topo) -> Vec<ModelPair> {
+    /// Type III: `node` leaves its driver's net (whose remainder is
+    /// `rem`, shared by the group) and joins `new_parent`'s.
+    fn reassign(
+        &self,
+        rem: Option<&Vec<[NetEst; 2]>>,
+        node: NodeId,
+        new_parent: NodeId,
+        work: &mut RankWork,
+    ) -> Vec<CornerEst> {
         let (tree, lib) = (self.tree, self.lib);
         let p = tree.parent(node).expect("non-root");
         let old_kids = tree.children(p);
@@ -290,171 +516,278 @@ impl<'a> CommittedNets<'a> {
         // new driver's net with `node` appended
         let mut new_pins = pins_of(tree, lib, new_parent);
         new_pins.push((tree.loc(node), pin_cap(tree, lib, node)));
-        let new_net = RoutedNet::new(topo, tree.loc(new_parent), &new_pins);
-        // old driver's net without `node`
-        let rem_net = (old_kids.len() > 1).then(|| {
-            let remaining: Vec<(Point, f64)> = pins_of(tree, lib, p)
-                .into_iter()
-                .enumerate()
-                .filter(|&(i, _)| i != idx)
-                .map(|(_, pin)| pin)
-                .collect();
-            RoutedNet::new(topo, tree.loc(p), &remaining)
-        });
-        let p_cell = tree.cell(p).expect("driver");
+        let new_routes = route_both(tree.loc(new_parent), &new_pins, work);
+        let new_rc = analyze_corners(&new_routes, lib, &self.corners, None, work);
         let np_cell = tree.cell(new_parent).expect("driver");
         let last = new_pins.len() - 1;
         self.corners
             .iter()
             .enumerate()
             .map(|(ci, &(corner, timing))| {
-                let est_old = self.committed(p, ci, topo);
-                let est_new = new_net.estimate(lib, corner, np_cell, timing.slew_ps(new_parent));
-                let est_rem = rem_net
-                    .as_ref()
-                    .map(|r| r.estimate(lib, corner, p_cell, timing.slew_ps(p)));
-                let est_prior = (last > 0).then(|| self.committed(new_parent, ci, topo));
-                std::array::from_fn(|m| {
-                    let primary_delta = (timing.arrival_ps(new_parent) - timing.arrival_ps(p))
-                        + (est_new.pin_delay[m][last] - est_old.pin_delay[m][idx]);
-                    // side effects: old siblings speed up, new siblings
-                    // slow down
-                    let mut side = Vec::new();
-                    if let Some(rem) = &est_rem {
-                        let others = old_kids.iter().enumerate().filter(|&(i, _)| i != idx);
-                        for (k, (i, &c)) in others.enumerate() {
-                            side.push((c, rem.pin_delay[m][k] - est_old.pin_delay[m][i]));
+                let [[fe, fd], [te, td]]: [[MoveEstimate; 2]; 2] = std::array::from_fn(|t| {
+                    let topo = Topo::ALL[t];
+                    let est_old = self.committed(p, ci, topo);
+                    let est_new =
+                        new_rc[ci][t].estimate(lib, corner, np_cell, timing.slew_ps(new_parent));
+                    let est_rem = rem.map(|r| &r[ci][t]);
+                    let est_prior = (last > 0).then(|| self.committed(new_parent, ci, topo));
+                    std::array::from_fn(|m| {
+                        let primary_delta = (timing.arrival_ps(new_parent) - timing.arrival_ps(p))
+                            + (est_new.pin_delay[m][last] - est_old.pin_delay[m][idx]);
+                        // side effects: old siblings speed up, new siblings
+                        // slow down
+                        let mut side = Vec::new();
+                        if let Some(rem) = est_rem {
+                            let others = old_kids.iter().enumerate().filter(|&(i, _)| i != idx);
+                            for (k, (i, &c)) in others.enumerate() {
+                                side.push((c, rem.pin_delay[m][k] - est_old.pin_delay[m][i]));
+                            }
                         }
-                    }
-                    if let Some(prior) = est_prior {
-                        for (i, &c) in tree.children(new_parent).iter().enumerate() {
-                            side.push((c, est_new.pin_delay[m][i] - prior.pin_delay[m][i]));
+                        if let Some(prior) = est_prior {
+                            for (i, &c) in tree.children(new_parent).iter().enumerate() {
+                                side.push((c, est_new.pin_delay[m][i] - prior.pin_delay[m][i]));
+                            }
                         }
-                    }
-                    MoveEstimate {
-                        primary_delta,
-                        per_child: vec![(node, primary_delta)],
-                        side_effects: side,
-                    }
-                })
+                        MoveEstimate {
+                            primary_delta,
+                            per_child: vec![(node, primary_delta)],
+                            side_effects: side,
+                        }
+                    })
+                });
+                let primary = [[&fe, &fd], [&te, &td]].map(|pair| pair.map(|e| e.primary_delta));
+                CornerEst {
+                    primary,
+                    detail: fd,
+                }
             })
             .collect()
     }
 
-    /// Shared path for type I/II: driver `node` moves to `new_loc` with
-    /// `new_cell`; `child_changes` lists child resizes.
+    /// Shared path for type I/II: driver `node` moves to its group's
+    /// location with `new_cell` (the cell `resize` picks); `child_change`
+    /// is a type-II child resize.
+    #[allow(clippy::too_many_arguments)]
     fn driver_change(
         &self,
+        parent: &mut Option<ParentNets<'_>>,
+        own: &mut Option<OwnNets<'_>>,
         node: NodeId,
-        new_loc: Point,
         new_cell: CellId,
-        child_changes: &[(NodeId, CellId)],
-        topo: Topo,
-    ) -> Vec<ModelPair> {
+        resize: Resize,
+        child_change: Option<(NodeId, CellId)>,
+        work: &mut RankWork,
+    ) -> Vec<CornerEst> {
         let (tree, lib) = (self.tree, self.lib);
         let new_cell_of = |c: NodeId| {
-            child_changes
-                .iter()
-                .find(|&&(cc, _)| cc == c)
-                .map(|&(_, cell)| cell)
+            child_change
+                .filter(|&(cc, _)| cc == c)
+                .map(|(_, cell)| cell)
         };
         // stage 0: the parent's net sees node's pin move / recap
-        let stage0 = tree.parent(node).map(|p| {
-            let mut after = pins_of(tree, lib, p);
-            let idx = tree
-                .children(p)
-                .iter()
-                .position(|&c| c == node)
-                .expect("node under p");
-            after[idx] = (new_loc, lib.cell(new_cell).input_cap_ff);
-            let net = RoutedNet::new(topo, tree.loc(p), &after);
-            (p, tree.cell(p).expect("driver"), idx, net)
+        let stage0 = parent.as_mut().map(|pn| {
+            let slot = &mut pn.est[resize as usize];
+            if slot.is_none() {
+                let change = Some((pn.idx, lib.cell(new_cell).input_cap_ff));
+                let rc = analyze_corners(&pn.routes, lib, &self.corners, change, work);
+                let est = rc
+                    .iter()
+                    .zip(&self.corners)
+                    .map(|(rc, &(corner, timing))| {
+                        rc.each_ref()
+                            .map(|r| r.estimate(lib, corner, pn.cell, timing.slew_ps(pn.p)))
+                    })
+                    .collect();
+                *slot = Some(est);
+            }
+            (pn.p, pn.idx, &*slot)
         });
         // stage 1: node's own net
         let children = tree.children(node);
-        let stage1 = (!children.is_empty()).then(|| {
-            let after: Vec<(Point, f64)> = children
-                .iter()
-                .map(|&c| {
-                    let cap = new_cell_of(c)
-                        .map_or_else(|| pin_cap(tree, lib, c), |cell| lib.cell(cell).input_cap_ff);
-                    (tree.loc(c), cap)
-                })
-                .collect();
-            RoutedNet::new(topo, new_loc, &after)
+        let stage1: Option<Cow<'_, [[NetRc; 2]]>> = own.as_mut().map(|on| match child_change {
+            None => {
+                let rc = on.rc.get_or_insert_with(|| {
+                    Cow::Owned(analyze_corners(&on.routes, lib, &self.corners, None, work))
+                });
+                Cow::Borrowed(&**rc)
+            }
+            Some((child, cell)) => {
+                let pin = children
+                    .iter()
+                    .position(|&c| c == child)
+                    .expect("child under node");
+                let change = Some((pin, lib.cell(cell).input_cap_ff));
+                Cow::Owned(analyze_corners(
+                    &on.routes,
+                    lib,
+                    &self.corners,
+                    change,
+                    work,
+                ))
+            }
         });
         self.corners
             .iter()
             .enumerate()
             .map(|(ci, &(corner, timing))| {
-                let (d1, slew_shift, mut parent_side) = match &stage0 {
-                    None => ([0.0; 2], 0.0, [Vec::new(), Vec::new()]),
-                    Some((p, p_cell, idx, net)) => {
-                        let eb = self.committed(*p, ci, topo);
-                        let ea = net.estimate(lib, corner, *p_cell, timing.slew_ps(*p));
-                        let side = std::array::from_fn(|m| {
-                            let siblings = tree.children(*p).iter().enumerate();
-                            siblings
-                                .filter(|&(i, _)| i != *idx)
-                                .map(|(i, &c)| (c, ea.pin_delay[m][i] - eb.pin_delay[m][i]))
-                                .collect()
-                        });
-                        (
-                            std::array::from_fn(|m| ea.pin_delay[m][*idx] - eb.pin_delay[m][*idx]),
-                            ea.pin_slew[*idx] - eb.pin_slew[*idx],
-                            side,
-                        )
-                    }
-                };
-                let Some(net) = &stage1 else {
-                    return std::array::from_fn(|m| MoveEstimate {
-                        primary_delta: d1[m],
-                        per_child: vec![(node, d1[m])],
-                        side_effects: std::mem::take(&mut parent_side[m]),
-                    });
-                };
-                let s_live = timing.slew_ps(node);
-                let eb = self.committed(node, ci, topo);
-                let ea = net.estimate(lib, corner, new_cell, (s_live + slew_shift).max(1.0));
-                // each child's stage-2 gate-delay change (the slews do
-                // not depend on the wire model)
-                let d3: Vec<f64> = children
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| {
-                        let NodeKind::Buffer(c_cell) = tree.node(c).kind else {
-                            return 0.0;
-                        };
-                        let load = timing.load_ff(c);
-                        let new_cell_c = new_cell_of(c).unwrap_or(c_cell);
-                        let g_b = lib.gate_delay(c_cell, corner, eb.pin_slew[i], load);
-                        let g_a = lib.gate_delay(new_cell_c, corner, ea.pin_slew[i], load);
-                        g_a - g_b
-                    })
-                    .collect();
-                std::array::from_fn(|m| {
+                let mut primary = [[0.0; 2]; 2];
+                let mut detail = None;
+                for (t, topo) in Topo::ALL.into_iter().enumerate() {
+                    // only FLUTE×D2M keeps its per-child and side-effect
+                    // breakdown
+                    let full = topo == Topo::Flute;
+                    let (d1, slew_shift, side_effects) = match &stage0 {
+                        None => ([0.0; 2], 0.0, Vec::new()),
+                        Some((p, idx, est)) => {
+                            let eb = self.committed(*p, ci, topo);
+                            let ea = &est.as_ref().expect("filled above")[ci][t];
+                            let side = if full {
+                                let siblings = tree.children(*p).iter().enumerate();
+                                siblings
+                                    .filter(|&(i, _)| i != *idx)
+                                    .map(|(i, &c)| (c, ea.pin_delay[D2M][i] - eb.pin_delay[D2M][i]))
+                                    .collect()
+                            } else {
+                                Vec::new()
+                            };
+                            (
+                                std::array::from_fn(|m| {
+                                    ea.pin_delay[m][*idx] - eb.pin_delay[m][*idx]
+                                }),
+                                ea.pin_slew[*idx] - eb.pin_slew[*idx],
+                                side,
+                            )
+                        }
+                    };
+                    let Some(rc) = &stage1 else {
+                        primary[t] = d1;
+                        if full {
+                            detail = Some(MoveEstimate {
+                                primary_delta: d1[D2M],
+                                per_child: vec![(node, d1[D2M])],
+                                side_effects,
+                            });
+                        }
+                        continue;
+                    };
+                    // node's own net after the move: `rc`'s estimate
+                    // (`NetRc::estimate`) taken pin by pin
+                    let rc = &rc[ci][t];
+                    let slew_in = (timing.slew_ps(node) + slew_shift).max(1.0);
+                    let gate = lib.gate_delay(new_cell, corner, slew_in, rc.load);
+                    let gslew = lib.gate_output_slew(new_cell, corner, slew_in, rc.load);
+                    let eb = self.committed(node, ci, topo);
                     // per-child deltas: shift at the driver input (d1) +
                     // this child's own net-delay change + its stage-2
-                    // gate-delay change
-                    let per_child: Vec<(NodeId, f64)> = children
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &c)| {
-                            let d2_i = ea.pin_delay[m][i] - eb.pin_delay[m][i];
-                            (c, d1[m] + d2_i + d3[i])
-                        })
-                        .collect();
-                    let primary_delta =
-                        per_child.iter().map(|&(_, d)| d).sum::<f64>() / children.len() as f64;
-                    MoveEstimate {
-                        primary_delta,
-                        per_child,
-                        side_effects: std::mem::take(&mut parent_side[m]),
+                    // gate-delay change; the primary delta is their mean
+                    let mut sum = [-0.0; 2];
+                    let mut per_child = Vec::with_capacity(if full { children.len() } else { 0 });
+                    for (i, (&c, pin)) in children.iter().zip(&rc.pins).enumerate() {
+                        // the slews do not depend on the wire model
+                        let d3 = match tree.node(c).kind {
+                            NodeKind::Buffer(c_cell) => {
+                                let load = timing.load_ff(c);
+                                let new_cell_c = new_cell_of(c).unwrap_or(c_cell);
+                                let g_b = lib.gate_delay(c_cell, corner, eb.pin_slew[i], load);
+                                let slew_a = peri_slew(gslew, pin[2]);
+                                let g_a = lib.gate_delay(new_cell_c, corner, slew_a, load);
+                                g_a - g_b
+                            }
+                            _ => 0.0,
+                        };
+                        for m in 0..MODELS.len() {
+                            let d2_i = (gate + pin[m]) - eb.pin_delay[m][i];
+                            let d = d1[m] + d2_i + d3;
+                            sum[m] += d;
+                            if full && m == D2M {
+                                per_child.push((c, d));
+                            }
+                        }
                     }
-                })
+                    primary[t] = sum.map(|s| s / children.len() as f64);
+                    if full {
+                        detail = Some(MoveEstimate {
+                            primary_delta: primary[t][D2M],
+                            per_child,
+                            side_effects,
+                        });
+                    }
+                }
+                CornerEst {
+                    primary,
+                    detail: detail.expect("FLUTE is estimated"),
+                }
             })
             .collect()
     }
+}
+
+/// The moves that share one [`SharedNets`]: a primary node's
+/// displacement in one direction (type I with every resize, type II
+/// with every child resize; `None` is type I's sizing-only moves), or
+/// its reassignment to any new parent (type III).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Group {
+    Displace(NodeId, Option<Direction>),
+    Reassign(NodeId),
+}
+
+impl Group {
+    pub(crate) fn of(mv: &Move) -> Group {
+        match *mv {
+            Move::SizeDisplace { node, dir, .. } => Group::Displace(node, dir),
+            Move::ChildSize { node, dir, .. } => Group::Displace(node, Some(dir)),
+            Move::Reassign { node, .. } => Group::Reassign(node),
+        }
+    }
+}
+
+/// The "after" nets the moves of one [`Group`] share, borrowed from the
+/// [`CommittedNets`] where the move leaves a net's pins in place.
+/// Ranking builds one per group and drops it before the next, so a
+/// ranking worker holds at most one family's nets at a time.
+pub(crate) struct SharedNets<'c> {
+    group: Group,
+    nets: Shared<'c>,
+    /// Fanout, bounding-box area and aspect ratio of the primary node's
+    /// net: the first three descriptor features of every move.
+    geometry: [f64; 3],
+}
+
+// a ranking worker holds one at a time, so the variants' sizes do not
+// matter
+#[allow(clippy::large_enum_variant)]
+enum Shared<'c> {
+    /// `None` when the node has no parent / no children.
+    Displace {
+        parent: Option<ParentNets<'c>>,
+        own: Option<OwnNets<'c>>,
+    },
+    /// The old parent's net without the node, `[corner][topo]`; `None`
+    /// when the node is its parent's only child.
+    Reassign { rem: Option<Vec<[NetEst; 2]>> },
+}
+
+/// The parent `p`'s net with the node (its `idx`-th pin) displaced.
+struct ParentNets<'c> {
+    p: NodeId,
+    cell: CellId,
+    idx: usize,
+    /// Committed when the node stays in place.
+    routes: Cow<'c, [RoutedNet; 2]>,
+    /// `[corner][topo]` with the node's pin loaded by the cell each
+    /// [`Resize`] gives it (type II keeps the cell: `Resize::None`),
+    /// filled on first use.
+    est: [Option<Vec<[NetEst; 2]>>; 3],
+}
+
+/// The node's own net from its new location.
+struct OwnNets<'c> {
+    /// Committed when the node stays in place.
+    routes: Cow<'c, [RoutedNet; 2]>,
+    /// `[corner][topo]` with every child's cap unchanged (type I), filled
+    /// on first use; committed when the node stays in place.
+    rc: Option<Cow<'c, [[NetRc; 2]]>>,
 }
 
 /// Number of features produced by [`move_features`].
@@ -495,24 +828,31 @@ pub fn move_features_with_sides(
     one
 }
 
-/// The corner-independent features: fanout, bounding box and move
-/// descriptors.
-fn descriptor_features(tree: &ClockTree, lib: &Library, mv: &Move, cfg: &MoveConfig) -> [f64; 6] {
-    let node = mv.primary_node();
+/// Fanout, bounding-box area and aspect ratio of `node`'s net: the
+/// corner-independent features every move of `node` shares.
+fn geometry(tree: &ClockTree, node: NodeId) -> [f64; 3] {
     let children = tree.children(node);
     let mut pts: Vec<Point> = children.iter().map(|&c| tree.loc(c)).collect();
     pts.push(tree.loc(node));
     let bbox = Rect::bounding(&pts).expect("non-empty");
-    // move descriptors: drive delta, displacement, child-cap delta
-    let (ddrive, dist, dcap) = match *mv {
+    [
+        children.len() as f64,
+        bbox.area_um2() / 1_000.0,
+        bbox.aspect_ratio(),
+    ]
+}
+
+/// The move descriptors: drive delta, displacement, child-cap delta.
+fn move_descriptors(tree: &ClockTree, lib: &Library, mv: &Move, cfg: &MoveConfig) -> [f64; 3] {
+    match *mv {
         Move::SizeDisplace { node, dir, resize } => {
             let c = tree.cell(node).expect("buffer");
             let nc = resized(lib, c, resize);
-            (
+            [
                 lib.cell(nc).drive - lib.cell(c).drive,
                 if dir.is_some() { cfg.displace_um } else { 0.0 },
                 lib.cell(nc).input_cap_ff - lib.cell(c).input_cap_ff,
-            )
+            ]
         }
         Move::ChildSize {
             child,
@@ -521,25 +861,17 @@ fn descriptor_features(tree: &ClockTree, lib: &Library, mv: &Move, cfg: &MoveCon
         } => {
             let c = tree.cell(child).expect("buffer");
             let nc = resized(lib, c, child_resize);
-            (
+            [
                 lib.cell(nc).drive - lib.cell(c).drive,
                 cfg.displace_um,
                 lib.cell(nc).input_cap_ff - lib.cell(c).input_cap_ff,
-            )
+            ]
         }
         Move::Reassign { node, new_parent } => {
             let p = tree.parent(node).expect("non-root");
-            (0.0, tree.loc(new_parent).manhattan_um(tree.loc(p)), 0.0)
+            [0.0, tree.loc(new_parent).manhattan_um(tree.loc(p)), 0.0]
         }
-    };
-    [
-        children.len() as f64,
-        bbox.area_um2() / 1_000.0,
-        bbox.aspect_ratio(),
-        ddrive,
-        dist,
-        dcap,
-    ]
+    }
 }
 
 /// Which learner backs a [`DeltaLatencyModel`].
@@ -778,13 +1110,14 @@ impl DeltaLatencyModel {
     }
 
     /// Predicted delta latency, ps, for raw (unscaled) features at
-    /// `corner`.
+    /// `corner`. Allocates nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `corner` is out of range.
+    /// Panics if `corner` is out of range or `features` is not
+    /// [`N_FEATURES`] wide.
     pub fn predict(&self, corner: CornerId, features: &[f64]) -> f64 {
-        let z = self.scalers[corner.0].transform(features);
+        let z: [f64; N_FEATURES] = self.scalers[corner.0].transform_fixed(features);
         let (mean, std) = self.y_norm[corner.0];
         self.models[corner.0].predict(&z) * std + mean
     }

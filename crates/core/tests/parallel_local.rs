@@ -205,6 +205,7 @@ fn ranked(tc: &Testcase, workers: usize) -> Vec<(u64, Move)> {
     let ranker = Ranker::Analytic(Topo::SingleTrunk, WireModel::Elmore);
     let mut scored: Vec<(f64, Move)> = ctx
         .gains(&moves, &mcfg, ranker, workers)
+        .0
         .into_iter()
         .zip(moves)
         .filter(|&(g, _)| g > LocalConfig::default().min_predicted_gain_ps)
@@ -228,5 +229,54 @@ fn parallel_ranking_is_deterministic_across_worker_counts() {
                 "seed {seed}: ranking with workers=1 vs workers={workers} diverged"
             );
         }
+    }
+}
+
+/// The ranking sweep asks its stop hook about the same blocks, in the
+/// same order, at every worker count, and a stop ends the sweep there.
+#[test]
+fn ranking_stop_points_do_not_depend_on_worker_count() {
+    let tc = Testcase::generate(TestcaseKind::Cls2v1, 24, 7);
+    let mcfg = MoveConfig::default();
+    let timings = Timer::golden()
+        .try_analyze_all(&tc.tree, &tc.lib)
+        .expect("baseline times");
+    let pairs = tc.tree.sink_pairs().to_vec();
+    let skews = timings
+        .iter()
+        .map(|t| try_pair_skews(t, &pairs))
+        .collect::<Result<Vec<_>, _>>()
+        .expect("skews");
+    let alphas = alpha_factors(&skews);
+    let moves = enumerate_moves(&tc.tree, &tc.lib, &mcfg, None);
+    let ctx = RankContext::new(&tc.tree, &tc.lib, &timings, &pairs, &alphas);
+    let ranker = Ranker::Analytic(Topo::Flute, WireModel::D2m);
+    // the move indices the hook is asked about, and whether the sweep
+    // finished; `cut` stops it at the `cut`-th question
+    let asked = |workers: usize, cut: Option<usize>| {
+        let mut seen = Vec::new();
+        let done = ctx
+            .gains_until(&moves, &mcfg, ranker, workers, |mv_no| {
+                seen.push(mv_no);
+                cut == Some(seen.len())
+            })
+            .is_some();
+        (seen, done)
+    };
+    let (all, done) = asked(1, None);
+    assert!(done, "an unstopped sweep finishes");
+    assert!(all.len() > 2, "only {} blocks", all.len() + 1);
+    assert!(all.windows(2).all(|w| w[0] < w[1]), "blocks out of order");
+    for workers in [1usize, 4, 8] {
+        assert_eq!(
+            asked(workers, None),
+            (all.clone(), true),
+            "{workers} workers"
+        );
+        assert_eq!(
+            asked(workers, Some(2)),
+            (all[..2].to_vec(), false),
+            "{workers} workers, cut at the second block"
+        );
     }
 }

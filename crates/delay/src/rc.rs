@@ -35,12 +35,18 @@ impl RcTree {
     pub fn extract(wt: &WireTree, rc: WireRc, loads: &[(usize, f64)], seg_max_um: f64) -> Self {
         assert!(seg_max_um > 0.0, "segment pitch must be positive");
         let n = wt.node_count();
+        let segs_of = |i: usize| ((wt.edge_len_um(i) / seg_max_um).ceil() as usize).max(1);
+        // the driver node plus every edge's segments, sized up front
+        let rc_nodes = 1 + wt.topo_order().skip(1).map(segs_of).sum::<usize>();
         let mut tree = RcTree {
-            parent: vec![None],
-            res_kohm: vec![0.0],
-            cap_ff: vec![0.0],
+            parent: Vec::with_capacity(rc_nodes),
+            res_kohm: Vec::with_capacity(rc_nodes),
+            cap_ff: Vec::with_capacity(rc_nodes),
             wire_to_rc: vec![usize::MAX; n],
         };
+        tree.parent.push(None);
+        tree.res_kohm.push(0.0);
+        tree.cap_ff.push(0.0);
         tree.wire_to_rc[WireTree::ROOT] = 0;
         // Wire-tree children always have larger indices than parents, so a
         // forward scan visits parents first.
@@ -49,7 +55,7 @@ impl RcTree {
             let parent_rc = tree.wire_to_rc[wp];
             debug_assert_ne!(parent_rc, usize::MAX);
             let len = wt.edge_len_um(i);
-            let segs = ((len / seg_max_um).ceil() as usize).max(1);
+            let segs = segs_of(i);
             let seg_len = len / segs as f64;
             let seg_r = rc.r_per_um * seg_len;
             let seg_c = rc.c_per_um * seg_len;
@@ -64,6 +70,7 @@ impl RcTree {
             }
             tree.wire_to_rc[i] = prev;
         }
+        debug_assert_eq!(tree.parent.len(), rc_nodes);
         for &(wnode, cap) in loads {
             let rc_node = tree.wire_to_rc[wnode];
             assert_ne!(rc_node, usize::MAX, "load on unknown wire node");

@@ -39,6 +39,9 @@ impl Default for MlpConfig {
 }
 
 /// A trained multi-layer perceptron with scalar output.
+///
+/// Every layer, the input included, is at most [`Mlp::MAX_WIDTH`] wide,
+/// so prediction runs on stack buffers.
 #[derive(Debug, Clone)]
 pub struct Mlp {
     /// `weights[l]` is (out × in) row-major; `biases[l]` is out-sized.
@@ -48,12 +51,15 @@ pub struct Mlp {
 }
 
 impl Mlp {
+    /// Widest layer (input or hidden) a network may have.
+    pub const MAX_WIDTH: usize = 64;
+
     /// Trains on `(xs, ys)` with mini-batch SGD + momentum.
     ///
     /// # Panics
     ///
-    /// Panics if `xs` is empty, widths are inconsistent, or
-    /// `xs.len() != ys.len()`.
+    /// Panics if `xs` is empty, widths are inconsistent, a layer is wider
+    /// than [`Mlp::MAX_WIDTH`], or `xs.len() != ys.len()`.
     pub fn train(xs: &[Vec<f64>], ys: &[f64], cfg: &MlpConfig) -> Self {
         assert!(!xs.is_empty(), "no training samples");
         assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
@@ -62,6 +68,10 @@ impl Mlp {
         let mut dims = vec![d_in];
         dims.extend_from_slice(&cfg.hidden);
         dims.push(1);
+        assert!(
+            dims.iter().all(|&d| d <= Self::MAX_WIDTH),
+            "layer wider than Mlp::MAX_WIDTH"
+        );
 
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut weights: Vec<Vec<f64>> = Vec::new();
@@ -167,23 +177,46 @@ impl Mlp {
     }
 }
 
+/// Output rows a layer computes side by side.
+const ROWS: usize = 4;
+
 impl Regressor for Mlp {
+    /// Forward pass on two stack buffers. [`ROWS`] output rows of a layer
+    /// accumulate side by side, each from its bias in input order, so
+    /// every activation is the same float as a row-at-a-time pass.
     fn predict(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dims[0], "feature width mismatch");
         let n_layers = self.dims.len() - 1;
-        let mut act = x.to_vec();
+        let (mut act, mut out) = ([0.0; Self::MAX_WIDTH], [0.0; Self::MAX_WIDTH]);
+        let (mut act, mut out) = (&mut act, &mut out);
+        act[..x.len()].copy_from_slice(x);
         for l in 0..n_layers {
             let (din, dout) = (self.dims[l], self.dims[l + 1]);
-            let mut z = vec![0.0; dout];
-            for (o, zo) in z.iter_mut().enumerate() {
-                let mut v = self.biases[l][o];
-                let wrow = &self.weights[l][o * din..(o + 1) * din];
-                for (wi, ai) in wrow.iter().zip(&act) {
+            let (w, b, a) = (&self.weights[l], &self.biases[l], &act[..din]);
+            let squash = |v: f64| if l + 1 == n_layers { v } else { v.tanh() };
+            let mut o = 0;
+            while o + ROWS <= dout {
+                let rows: [&[f64]; ROWS] =
+                    std::array::from_fn(|k| &w[(o + k) * din..(o + k + 1) * din]);
+                let mut v: [f64; ROWS] = std::array::from_fn(|k| b[o + k]);
+                for (i, &ai) in a.iter().enumerate() {
+                    for (vk, row) in v.iter_mut().zip(rows) {
+                        *vk += row[i] * ai;
+                    }
+                }
+                for (zo, vk) in out[o..o + ROWS].iter_mut().zip(v) {
+                    *zo = squash(vk);
+                }
+                o += ROWS;
+            }
+            for (k, zo) in out[..dout].iter_mut().enumerate().skip(o) {
+                let mut v = b[k];
+                for (wi, ai) in w[k * din..(k + 1) * din].iter().zip(a) {
                     v += wi * ai;
                 }
-                *zo = if l + 1 == n_layers { v } else { v.tanh() };
+                *zo = squash(v);
             }
-            act = z;
+            std::mem::swap(&mut act, &mut out);
         }
         act[0]
     }
@@ -195,6 +228,51 @@ impl Regressor for Mlp {
 mod tests {
     use super::*;
     use crate::{mse, Regressor};
+    use proptest::prelude::*;
+
+    /// `predict` as it was, one output row at a time on heap buffers,
+    /// kept as the oracle of the lockstep one.
+    fn rowwise_predict(m: &Mlp, x: &[f64]) -> f64 {
+        let n_layers = m.dims.len() - 1;
+        let mut act = x.to_vec();
+        for l in 0..n_layers {
+            let (din, dout) = (m.dims[l], m.dims[l + 1]);
+            let mut z = vec![0.0; dout];
+            for (o, zo) in z.iter_mut().enumerate() {
+                let mut v = m.biases[l][o];
+                let wrow = &m.weights[l][o * din..(o + 1) * din];
+                for (wi, ai) in wrow.iter().zip(&act) {
+                    v += wi * ai;
+                }
+                *zo = if l + 1 == n_layers { v } else { v.tanh() };
+            }
+            act = z;
+        }
+        act[0]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Same float as the row-at-a-time reference on random depths
+        /// and widths (row remainders included) and random weights.
+        #[test]
+        fn predict_matches_the_rowwise_reference(
+            widths in prop::collection::vec(1usize..23, 1..5),
+            scale in 0.05f64..4.0,
+            vals in prop::collection::vec(-1.0f64..1.0, 2048),
+        ) {
+            let mut dims = widths;
+            dims.push(1);
+            let mut next = vals.iter().cycle().map(|v| v * scale);
+            let mut layer = |len: usize| -> Vec<f64> { next.by_ref().take(len).collect() };
+            let weights: Vec<Vec<f64>> = dims.windows(2).map(|d| layer(d[0] * d[1])).collect();
+            let biases: Vec<Vec<f64>> = dims[1..].iter().map(|&d| layer(d)).collect();
+            let x = layer(dims[0]);
+            let m = Mlp { weights, biases, dims };
+            prop_assert_eq!(m.predict(&x).to_bits(), rowwise_predict(&m, &x).to_bits());
+        }
+    }
 
     fn grid() -> (Vec<Vec<f64>>, Vec<f64>) {
         let xs: Vec<Vec<f64>> = (0..144)

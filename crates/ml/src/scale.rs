@@ -56,6 +56,20 @@ impl StandardScaler {
             .collect()
     }
 
+    /// [`StandardScaler::transform`] of an `N`-feature sample into a
+    /// stack array.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both `x` and the scaler are `N` wide.
+    pub fn transform_fixed<const N: usize>(&self, x: &[f64]) -> [f64; N] {
+        assert!(
+            x.len() == N && self.mean.len() == N,
+            "feature width mismatch"
+        );
+        std::array::from_fn(|i| (x[i] - self.mean[i]) / self.std[i])
+    }
+
     /// Standardizes a batch.
     pub fn transform_batch(&self, xs: &[Vec<f64>]) -> Vec<Vec<f64>> {
         xs.iter().map(|x| self.transform(x)).collect()
@@ -78,6 +92,42 @@ impl StandardScaler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `transform` as it was, kept as the oracle of both transforms.
+    fn reference_transform(sc: &StandardScaler, x: &[f64]) -> Vec<f64> {
+        x.iter()
+            .zip(sc.mean.iter().zip(&sc.std))
+            .map(|(v, (m, s))| (v - m) / s)
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `transform` and the fixed-width `transform_fixed` give the
+        /// reference's floats on random fits and samples.
+        #[test]
+        fn transforms_match_the_reference(
+            rows in 1usize..9,
+            scale in 0.001f64..1e4,
+            vals in prop::collection::vec(-1.0f64..1.0, 10 * 10),
+        ) {
+            let xs: Vec<Vec<f64>> = vals
+                .chunks(10)
+                .take(rows)
+                .map(|r| r.iter().map(|v| v * scale).collect())
+                .collect();
+            let sc = StandardScaler::fit(&xs);
+            let x: Vec<f64> = vals[90..].iter().map(|v| v * scale * 1.5).collect();
+            let want: Vec<u64> = reference_transform(&sc, &x).iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u64> = sc.transform(&x).iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&got, &want);
+            let fixed: [f64; 10] = sc.transform_fixed(&x);
+            let fixed: Vec<u64> = fixed.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&fixed, &want);
+        }
+    }
 
     #[test]
     fn standardizes_to_zero_mean_unit_var() {

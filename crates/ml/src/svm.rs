@@ -9,9 +9,14 @@ use crate::Regressor;
 ///
 /// Training solves the standard LS-SVM saddle system
 /// `[[0, 1ᵀ], [1, K + I/C]] · [b; α] = [0; y]`.
+///
+/// The support vectors are one flat row-major matrix, so prediction
+/// streams through contiguous memory and allocates nothing.
 #[derive(Debug, Clone)]
 pub struct LsSvm {
-    xs: Vec<Vec<f64>>,
+    /// Support vector `i` is `xs[i * dim..(i + 1) * dim]`.
+    xs: Vec<f64>,
+    dim: usize,
     alpha: Vec<f64>,
     bias: f64,
     gamma: f64,
@@ -50,7 +55,8 @@ impl LsSvm {
             .lu_solve(&rhs)
             .expect("LS-SVM system is nonsingular for C > 0");
         LsSvm {
-            xs: xs.to_vec(),
+            xs: xs.concat(),
+            dim: xs[0].len(),
             alpha: sol[1..].to_vec(),
             bias: sol[0],
             gamma,
@@ -59,9 +65,17 @@ impl LsSvm {
 
     /// Number of support vectors (every training point, for LS-SVM).
     pub fn support_count(&self) -> usize {
-        self.xs.len()
+        self.alpha.len()
+    }
+
+    /// Support vector `i`.
+    fn sv(&self, i: usize) -> &[f64] {
+        &self.xs[i * self.dim..(i + 1) * self.dim]
     }
 }
+
+/// Support vectors whose distances are summed side by side.
+const LANES: usize = 4;
 
 fn rbf(a: &[f64], b: &[f64], gamma: f64) -> f64 {
     let d2: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
@@ -69,14 +83,38 @@ fn rbf(a: &[f64], b: &[f64], gamma: f64) -> f64 {
 }
 
 impl Regressor for LsSvm {
+    /// `b + Σ αᵢ K(xᵢ, x)`. The squared distances of [`LANES`] support
+    /// vectors accumulate side by side, each in dimension order, and the
+    /// kernel terms are then added in support-vector order from `-0.0`
+    /// (the start of `Iterator::sum` over `f64`), so the result is the
+    /// same float as the sequential sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not as wide as the training samples.
     fn predict(&self, x: &[f64]) -> f64 {
-        self.bias
-            + self
-                .xs
-                .iter()
-                .zip(&self.alpha)
-                .map(|(sv, a)| a * rbf(sv, x, self.gamma))
-                .sum::<f64>()
+        assert_eq!(x.len(), self.dim, "feature width mismatch");
+        let (d, n) = (self.dim, self.alpha.len());
+        let full = n - n % LANES;
+        let mut sum = -0.0;
+        for (b, alpha) in self.alpha[..full].chunks_exact(LANES).enumerate() {
+            let block = &self.xs[b * LANES * d..(b + 1) * LANES * d];
+            let rows: [&[f64]; LANES] = std::array::from_fn(|l| &block[l * d..(l + 1) * d]);
+            let mut d2 = [0.0; LANES];
+            for (j, &xj) in x.iter().enumerate() {
+                for (acc, row) in d2.iter_mut().zip(rows) {
+                    let t = row[j] - xj;
+                    *acc += t * t;
+                }
+            }
+            for (a, d) in alpha.iter().zip(d2) {
+                sum += a * (-self.gamma * d).exp();
+            }
+        }
+        for k in full..n {
+            sum += self.alpha[k] * rbf(self.sv(k), x, self.gamma);
+        }
+        self.bias + sum
     }
 }
 
@@ -84,6 +122,51 @@ impl Regressor for LsSvm {
 mod tests {
     use super::*;
     use crate::mse;
+    use proptest::prelude::*;
+
+    /// `predict` as it was over one `Vec` per support vector, kept as the
+    /// oracle of the flat lane-parallel one.
+    fn nested_predict(xs: &[Vec<f64>], alpha: &[f64], bias: f64, gamma: f64, x: &[f64]) -> f64 {
+        fn rbf(a: &[f64], b: &[f64], gamma: f64) -> f64 {
+            let d2: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+            (-gamma * d2).exp()
+        }
+        bias + xs
+            .iter()
+            .zip(alpha)
+            .map(|(sv, a)| a * rbf(sv, x, gamma))
+            .sum::<f64>()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Same float as the nested reference on random widths, support
+        /// counts (lane remainders included) and kernel widths, from
+        /// near-coincident points to kernels that underflow to zero.
+        #[test]
+        fn predict_matches_the_nested_reference(
+            shape in (1usize..14, 0usize..42, 0.01f64..3.0, -5.0f64..5.0),
+            spread in 0.05f64..30.0,
+            vals in prop::collection::vec(-1.0f64..1.0, 14 * 43),
+            alpha in prop::collection::vec(-5.0f64..5.0, 42),
+        ) {
+            let (dim, n, gamma, bias) = shape;
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|i| vals[i * dim..(i + 1) * dim].iter().map(|v| v * spread).collect())
+                .collect();
+            let x: Vec<f64> = vals[n * dim..(n + 1) * dim].iter().map(|v| v * spread).collect();
+            let m = LsSvm {
+                xs: xs.concat(),
+                dim,
+                alpha: alpha[..n].to_vec(),
+                bias,
+                gamma,
+            };
+            let want = nested_predict(&xs, &alpha[..n], bias, gamma, &x);
+            prop_assert_eq!(m.predict(&x).to_bits(), want.to_bits());
+        }
+    }
 
     #[test]
     fn interpolates_with_large_c() {

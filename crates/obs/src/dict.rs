@@ -175,6 +175,14 @@ pub const DICTIONARY: &[MetricDef] = &[
     c("local.rollback", "local moves rolled back"),
     c("local.accepted", "local moves committed"),
     g("local.workers", "worker threads in the local-phase pool"),
+    c(
+        "local.predict.routes",
+        "Steiner routes built by ranking sweeps (one per net and topology)",
+    ),
+    c(
+        "local.predict.extractions",
+        "RC extractions + moment analyses of ranking sweeps",
+    ),
     h(
         "local.predict.err_ps",
         Unit::Unitless,
