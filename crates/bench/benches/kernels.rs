@@ -246,6 +246,15 @@ fn bench_lp(c: &mut Criterion) {
     g.bench_function("simplex_global_shaped", |b| {
         b.iter_batched(|| p.clone(), |p| clk_lp::solve(&p), BatchSize::SmallInput);
     });
+    // the exact certificate check of that solve, as the global phase runs
+    // it after every LP
+    if let Ok(sol) = clk_lp::solve(&p) {
+        let report = clk_cert::check(&p, &sol);
+        assert!(report.ok(), "{:?}", report.violations);
+        g.bench_function("cert_check_global_shaped", |b| {
+            b.iter(|| clk_cert::check(&p, &sol));
+        });
+    }
     g.finish();
 }
 

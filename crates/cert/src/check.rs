@@ -197,9 +197,27 @@ struct Exact {
     lo: Vec<Bound>,
     hi: Vec<Bound>,
     cost: Vec<BigRat>,
-    /// sparse column of each internal variable (slack `n+i` is `[(i, 1)]`)
-    cols: Vec<Vec<(usize, BigRat)>>,
+    /// the sparse columns of all internal variables in one compressed
+    /// sparse column array: column `j` is entries
+    /// `col_start[j]..col_start[j + 1]` (slack `n+i` is `[(i, 1)]`)
+    col_start: Vec<usize>,
+    row_of: Vec<usize>,
+    coef: Vec<BigRat>,
     rhs: Vec<BigRat>,
+}
+
+impl Exact {
+    /// The `(row, coefficient)` entries of internal variable `j < n + m`.
+    // `decode_problem` builds `n + m + 1` nondecreasing offsets into the
+    // entry arrays; like the checks below, a bad index is a checker bug
+    #[allow(clippy::indexing_slicing)]
+    fn col(&self, j: usize) -> impl Iterator<Item = (usize, &BigRat)> {
+        let span = self.col_start[j]..self.col_start[j + 1];
+        self.row_of[span.clone()]
+            .iter()
+            .copied()
+            .zip(&self.coef[span])
+    }
 }
 
 struct Ctx {
@@ -222,19 +240,29 @@ impl Ctx {
     /// `ε · (1 + mag)` — the exact tolerance band for a residual whose
     /// contributing terms have absolute mass `mag`.
     fn band(&self, mag: &BigRat) -> BigRat {
-        self.eps.mul(&BigRat::one().add(mag))
+        let mut s = BigRat::one();
+        s.add_assign(mag);
+        self.eps.mul(&s)
+    }
+
+    /// `ε · (1 + mag + |bound|)` — [`Ctx::band`] of a residual taken
+    /// against a bound.
+    fn band_with(&self, mag: &BigRat, bound: &BigRat) -> BigRat {
+        let mut s = BigRat::one();
+        s.add_assign(mag);
+        s.add_abs_assign(bound);
+        self.eps.mul(&s)
     }
 
     /// Records an agreement check of residual `r` against `band`;
     /// pushes `make()` on failure.
     fn expect_zero(&mut self, r: &BigRat, band: &BigRat, make: impl FnOnce(f64) -> Violation) {
         self.checks += 1;
-        let a = r.abs();
-        if a.cmp_exact(&self.max_resid) == Ordering::Greater {
-            self.max_resid = a.clone();
+        if r.cmp_abs(&self.max_resid) == Ordering::Greater {
+            self.max_resid = r.abs();
         }
-        if a.cmp_exact(band) == Ordering::Greater {
-            self.violations.push(make(a.approx_f64()));
+        if !r.within(band) {
+            self.violations.push(make(r.abs().approx_f64()));
         }
     }
 
@@ -304,7 +332,14 @@ fn decode_problem(p: &Problem, out: &mut Vec<Violation>) -> Option<Exact> {
     let mut lo = Vec::with_capacity(n + m);
     let mut hi = Vec::with_capacity(n + m);
     let mut cost = Vec::with_capacity(n + m);
-    let mut cols = Vec::with_capacity(n + m);
+    let nnz = m
+        + (0..n)
+            .filter_map(|j| p.col(VarId(j)).ok())
+            .map(<[_]>::len)
+            .sum::<usize>();
+    let mut col_start = Vec::with_capacity(n + m + 1);
+    let mut row_of = Vec::with_capacity(nnz);
+    let mut coef = Vec::with_capacity(nnz);
     let mut rhs = Vec::with_capacity(m);
     let before = out.len();
     for j in 0..n {
@@ -324,7 +359,7 @@ fn decode_problem(p: &Problem, out: &mut Vec<Violation>) -> Option<Exact> {
         cost.push(
             decode_finite(cj, || format!("cost of var {j}"), out).unwrap_or_else(BigRat::zero),
         );
-        let mut col = Vec::new();
+        col_start.push(row_of.len());
         match p.col(v) {
             Ok(terms) => {
                 for &(r, a) in terms {
@@ -336,7 +371,8 @@ fn decode_problem(p: &Problem, out: &mut Vec<Violation>) -> Option<Exact> {
                     }
                     let ar = decode_finite(a, || format!("coefficient a[{r},{j}]"), out)
                         .unwrap_or_else(BigRat::zero);
-                    col.push((r, ar));
+                    row_of.push(r);
+                    coef.push(ar);
                 }
             }
             Err(e) => {
@@ -346,7 +382,6 @@ fn decode_problem(p: &Problem, out: &mut Vec<Violation>) -> Option<Exact> {
                 return None;
             }
         }
-        cols.push(col);
     }
     for i in 0..m {
         let (kind, b) = match p.row(i) {
@@ -367,8 +402,11 @@ fn decode_problem(p: &Problem, out: &mut Vec<Violation>) -> Option<Exact> {
         lo.push(sl);
         hi.push(sh);
         cost.push(BigRat::zero());
-        cols.push(vec![(i, BigRat::one())]);
+        col_start.push(row_of.len());
+        row_of.push(i);
+        coef.push(BigRat::one());
     }
+    col_start.push(row_of.len());
     if out.len() > before {
         return None;
     }
@@ -378,7 +416,9 @@ fn decode_problem(p: &Problem, out: &mut Vec<Violation>) -> Option<Exact> {
         lo,
         hi,
         cost,
-        cols,
+        col_start,
+        row_of,
+        coef,
         rhs,
     })
 }
@@ -436,29 +476,30 @@ fn check_optimal(ex: &Exact, sol: &Solution, ctx: &mut Ctx) {
     let mut act: Vec<BigRat> = vec![BigRat::zero(); m];
     let mut act_mag: Vec<BigRat> = vec![BigRat::zero(); m];
     for (j, xj) in x.iter().enumerate() {
-        for (r, a) in &ex.cols[j] {
+        for (r, a) in ex.col(j) {
             let t = a.mul(xj);
-            act_mag[*r] = act_mag[*r].add(&t.abs());
-            act[*r] = act[*r].add(&t);
+            act_mag[r].add_abs_assign(&t);
+            act[r].add_assign(&t);
         }
     }
-    let mut val: Vec<BigRat> = Vec::with_capacity(n + m);
     let mut val_mag: Vec<BigRat> = Vec::with_capacity(n + m);
-    for (j, xj) in x.iter().enumerate() {
-        val.push(xj.clone());
-        val_mag.push(x[j].abs());
+    val_mag.extend(x.iter().map(BigRat::abs));
+    let mut val = x;
+    val.reserve(m);
+    for (i, (a, mut a_mag)) in act.iter().zip(act_mag).enumerate() {
+        let mut s = ex.rhs[i].clone();
+        s.sub_assign(a);
+        val.push(s);
+        a_mag.add_abs_assign(&ex.rhs[i]);
+        val_mag.push(a_mag);
     }
-    for i in 0..m {
-        val.push(ex.rhs[i].sub(&act[i]));
-        val_mag.push(ex.rhs[i].abs().add(&act_mag[i]));
-    }
+    let x = &val[..n];
 
     // C2a: every internal variable within its bounds
     for j in 0..n + m {
-        let mag = val_mag[j].clone();
         if let Some(l) = &ex.lo[j] {
             let under = l.sub(&val[j]); // positive ⇒ below the lower bound
-            let band = ctx.band(&mag.add(&l.abs()));
+            let band = ctx.band_with(&val_mag[j], l);
             ctx.expect_le(&under, &band, |resid| Violation::PrimalBound {
                 var: j,
                 resid,
@@ -466,7 +507,7 @@ fn check_optimal(ex: &Exact, sol: &Solution, ctx: &mut Ctx) {
         }
         if let Some(h) = &ex.hi[j] {
             let over = val[j].sub(h);
-            let band = ctx.band(&mag.add(&h.abs()));
+            let band = ctx.band_with(&val_mag[j], h);
             ctx.expect_le(&over, &band, |resid| Violation::PrimalBound {
                 var: j,
                 resid,
@@ -496,7 +537,7 @@ fn check_optimal(ex: &Exact, sol: &Solution, ctx: &mut Ctx) {
             continue;
         };
         let r = val[j].sub(b);
-        let band = ctx.band(&val_mag[j].add(&b.abs()));
+        let band = ctx.band_with(&val_mag[j], b);
         ctx.expect_zero(&r, &band, |resid| Violation::NonbasicOffBound {
             var: j,
             resid,
@@ -505,14 +546,14 @@ fn check_optimal(ex: &Exact, sol: &Solution, ctx: &mut Ctx) {
 
     // C3: exact reduced costs — recorded agreement and dual feasibility
     for j in 0..n + m {
-        let mut z = BigRat::zero();
+        // d = c_j − Σ y_r·a_rj, accumulated in place from c_j
+        let mut d = ex.cost[j].clone();
         let mut zmag = ex.cost[j].abs();
-        for (r, a) in &ex.cols[j] {
-            let t = y[*r].mul(a);
-            zmag = zmag.add(&t.abs());
-            z = z.add(&t);
+        for (r, a) in ex.col(j) {
+            let t = y[r].mul(a);
+            zmag.add_abs_assign(&t);
+            d.sub_assign(&t);
         }
-        let d = ex.cost[j].sub(&z);
         let band = ctx.band(&zmag);
         let diff = d.sub(&reduced[j]);
         ctx.expect_zero(&diff, &band, |resid| Violation::ReducedCostMismatch {
@@ -521,7 +562,7 @@ fn check_optimal(ex: &Exact, sol: &Solution, ctx: &mut Ctx) {
         });
         // fixed variables carry no sign constraint
         if let (Some(l), Some(h)) = (&ex.lo[j], &ex.hi[j]) {
-            if l.cmp_exact(h) == Ordering::Equal {
+            if l == h {
                 continue;
             }
         }
@@ -553,8 +594,8 @@ fn check_optimal(ex: &Exact, sol: &Solution, ctx: &mut Ctx) {
     let mut obj_mag = BigRat::zero();
     for (j, xj) in x.iter().enumerate() {
         let t = ex.cost[j].mul(xj);
-        obj_mag = obj_mag.add(&t.abs());
-        obj = obj.add(&t);
+        obj_mag.add_abs_assign(&t);
+        obj.add_assign(&t);
     }
     let band = ctx.band(&obj_mag);
     let diff = obj.sub(&objective);
@@ -567,8 +608,8 @@ fn check_optimal(ex: &Exact, sol: &Solution, ctx: &mut Ctx) {
     let mut dual_mag = BigRat::zero();
     for (i, yi) in y.iter().enumerate() {
         let t = yi.mul(&ex.rhs[i]);
-        dual_mag = dual_mag.add(&t.abs());
-        dual = dual.add(&t);
+        dual_mag.add_abs_assign(&t);
+        dual.add_assign(&t);
     }
     for j in 0..n + m {
         let bval = match cert.status[j] {
@@ -583,11 +624,14 @@ fn check_optimal(ex: &Exact, sol: &Solution, ctx: &mut Ctx) {
             continue;
         }
         let t = reduced[j].mul(b);
-        dual_mag = dual_mag.add(&t.abs());
-        dual = dual.add(&t);
+        dual_mag.add_abs_assign(&t);
+        dual.add_assign(&t);
     }
-    let band = ctx.band(&obj_mag.add(&dual_mag));
-    let gap = obj.sub(&dual);
+    let mut mass = obj_mag;
+    mass.add_assign(&dual_mag);
+    let band = ctx.band(&mass);
+    let mut gap = obj;
+    gap.sub_assign(&dual);
     ctx.expect_zero(&gap, &band, |resid| Violation::DualityGap { resid });
 }
 
@@ -713,10 +757,10 @@ fn farkas_gap(ex: &Exact, y: &[BigRat], ctx: &mut Ctx) {
     for j in 0..n + m {
         let mut z = BigRat::zero();
         let mut zmag = BigRat::zero();
-        for (r, a) in &ex.cols[j] {
-            let t = y[*r].mul(a);
-            zmag = zmag.add(&t.abs());
-            z = z.add(&t);
+        for (r, a) in ex.col(j) {
+            let t = y[r].mul(a);
+            zmag.add_abs_assign(&t);
+            z.add_assign(&t);
         }
         if z.is_zero() {
             continue;
@@ -727,9 +771,7 @@ fn farkas_gap(ex: &Exact, y: &[BigRat], ctx: &mut Ctx) {
             &ex.lo[j]
         };
         match bound {
-            Some(b) => {
-                cap_sum = cap_sum.add(&z.mul(b));
-            }
+            Some(b) => cap_sum.add_assign(&z.mul(b)),
             None => {
                 // unbounded direction: only tolerance-level weight may be
                 // dropped (dropping raises the cap bound toward +∞ — er,
@@ -740,11 +782,11 @@ fn farkas_gap(ex: &Exact, y: &[BigRat], ctx: &mut Ctx) {
             }
         }
     }
-    let mut ytb = BigRat::zero();
+    let mut gap = BigRat::zero();
     for (i, yi) in y.iter().enumerate() {
-        ytb = ytb.add(&yi.mul(&ex.rhs[i]));
+        gap.add_assign(&yi.mul(&ex.rhs[i]));
     }
-    let gap = ytb.sub(&cap_sum);
+    gap.sub_assign(&cap_sum);
     ctx.checks += 1;
     if !gap.is_positive() {
         ctx.violations.push(Violation::FarkasGapNonPositive {

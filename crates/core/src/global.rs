@@ -223,6 +223,7 @@ pub fn global_optimize_checked(
             format!("rounds capped {} -> {rounds}", cfg.rounds.max(1)),
         );
     }
+    let bounds = ratio_corridors(luts, lib.corner_count(), cfg.ratio_margin);
     let mut rounds_done = 0usize;
     let mut cut: Option<Option<&'static str>> = None;
     for round in 0..rounds {
@@ -245,6 +246,7 @@ pub fn global_optimize_checked(
             lib,
             fp,
             luts,
+            &bounds,
             cfg,
             guard_baseline,
             ctx,
@@ -318,13 +320,27 @@ pub fn global_optimize_checked(
     Ok((current, report))
 }
 
-/// One solve→ECO→verify round of the global optimization.
+/// The cross-corner ratio corridors (corner `k` vs corner 0; `None` for
+/// corner 0), fitted from the stage LUTs. They depend only on `luts` and
+/// `margin`, so a run fits them once.
+fn ratio_corridors(luts: &StageLuts, n_corners: usize, margin: f64) -> Vec<Option<RatioBounds>> {
+    (0..n_corners)
+        .map(|k| {
+            (k != 0)
+                .then(|| fit_ratio_bounds(&ratio_scatter(luts, CornerId(k), CornerId(0)), margin))
+        })
+        .collect()
+}
+
+/// One solve→ECO→verify round of the global optimization; `bounds` are
+/// the run's [`ratio_corridors`].
 #[allow(clippy::too_many_arguments)]
 fn global_round(
     tree: &ClockTree,
     lib: &Library,
     fp: &Floorplan,
     luts: &StageLuts,
+    bounds: &[Option<RatioBounds>],
     cfg: &GlobalConfig,
     guard_baseline: Option<&[f64]>,
     ctx: &mut FaultCtx<'_>,
@@ -358,7 +374,6 @@ fn global_round(
             .collect();
         // arcs that are *still* non-finite are frozen by build_problem
     }
-    let n_corners = lib.corner_count();
 
     // skews + alphas over *all* pairs (alphas are an input parameter fixed
     // before optimization, per the paper)
@@ -395,18 +410,6 @@ fn global_round(
         v.sort_unstable();
         v
     };
-
-    // ratio corridors (k vs corner 0) once per run
-    let bounds: Vec<Option<RatioBounds>> = (0..n_corners)
-        .map(|k| {
-            (k != 0).then(|| {
-                fit_ratio_bounds(
-                    &ratio_scatter(luts, CornerId(k), CornerId(0)),
-                    cfg.ratio_margin,
-                )
-            })
-        })
-        .collect();
 
     let mut best: Option<(ClockTree, f64, f64, usize, Option<f64>)> = None;
     let mut lp_iterations = 0usize;
@@ -461,7 +464,7 @@ fn global_round(
             &path_of,
             &involved,
             &alphas,
-            &bounds,
+            bounds,
             LpObjective::Scalarized(lambda),
             cfg,
             ctx,
@@ -1225,16 +1228,7 @@ pub fn u_sweep(
     }
     let mut involved: Vec<ArcId> = involved_set.into_iter().collect();
     involved.sort_unstable();
-    let bounds: Vec<Option<RatioBounds>> = (0..n_corners)
-        .map(|k| {
-            (k != 0).then(|| {
-                fit_ratio_bounds(
-                    &ratio_scatter(luts, CornerId(k), CornerId(0)),
-                    cfg.ratio_margin,
-                )
-            })
-        })
-        .collect();
+    let bounds = ratio_corridors(luts, n_corners, cfg.ratio_margin);
 
     // lower end of the sweep: the unconstrained ΣV optimum
     let floor = build_and_solve(

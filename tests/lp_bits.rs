@@ -18,15 +18,25 @@
 //!
 //! A change that legitimately moves the pivot sequence must re-record
 //! `EXPECTED` and say why in CHANGELOG.md.
+//!
+//! The same family pins the exact certificate checker: every `clk_cert`
+//! `Report` (check count, `max_resid` bits, each rendered violation) on
+//! the honest outcome and on a perturbed-dual and a dropped-basis copy of
+//! it is hashed into `EXPECTED_REPORTS`, so a change to the checker's
+//! arithmetic that moves one verdict, residual or message fails here.
 
 // float arithmetic is the domain here; the workspace lint exists for
 // exact-arithmetic code (clk-cert escalates it to deny)
 #![allow(clippy::float_arithmetic)]
 
+use clk_cert::{check, check_infeasible, Report};
 use clk_lp::{solve_certified, Certified, LpError, Problem, RowKind, VarId, VarStatus};
 
 /// Recorded from the solver before the column-major basis inverse.
 const EXPECTED: u64 = 0x384a_e407_0e5f_104e;
+
+/// Recorded from the checker before inline limb storage.
+const EXPECTED_REPORTS: u64 = 0x51d9_2c43_7778_82d4;
 
 const INF: f64 = f64::INFINITY;
 
@@ -62,6 +72,21 @@ impl Fnv {
         for x in xs {
             self.word(x.to_bits());
         }
+    }
+    fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        for b in s.bytes() {
+            self.word(u64::from(b));
+        }
+    }
+}
+
+fn hash_report(h: &mut Fnv, r: &Report) {
+    h.word(r.checks as u64);
+    h.word(r.max_resid.to_bits());
+    h.word(r.violations.len() as u64);
+    for v in &r.violations {
+        h.text(&v.to_string());
     }
 }
 
@@ -265,13 +290,10 @@ fn random_box(rng: &mut Rng, case: usize) -> Problem {
     p
 }
 
-#[test]
-fn simplex_outputs_are_bit_identical_to_the_recorded_run() {
+/// The seeded family: 24 global-shaped LPs, then 40 small dense boxes.
+fn family() -> Vec<Problem> {
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    let mut optimal = 0;
-    let mut infeasible = 0;
-    let mut pivots = 0;
+    let mut out = Vec::with_capacity(64);
     for case in 0..24 {
         let n_arcs = 5 + case % 5;
         let n_pairs = n_arcs + 2 + case % 3;
@@ -280,7 +302,23 @@ fn simplex_outputs_are_bit_identical_to_the_recorded_run() {
             2 * p.num_rows() > 3 * p.num_vars(),
             "case {case}: fewer than 1.5 rows per column"
         );
-        let r = solve_certified(&p);
+        out.push(p);
+    }
+    for case in 0..40 {
+        out.push(random_box(&mut rng, case));
+    }
+    out
+}
+
+#[test]
+fn simplex_outputs_are_bit_identical_to_the_recorded_run() {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut optimal = 0;
+    let mut infeasible = 0;
+    let mut pivots = 0;
+    let lps = family();
+    for p in &lps[..24] {
+        let r = solve_certified(p);
         match &r {
             Ok(Certified::Optimal(s)) => {
                 optimal += 1;
@@ -291,9 +329,8 @@ fn simplex_outputs_are_bit_identical_to_the_recorded_run() {
         }
         hash_outcome(&mut h, &r);
     }
-    for case in 0..40 {
-        let p = random_box(&mut rng, case);
-        hash_outcome(&mut h, &solve_certified(&p));
+    for p in &lps[24..] {
+        hash_outcome(&mut h, &solve_certified(p));
     }
     // the family must exercise what it claims to
     assert!(optimal >= 16, "{optimal} optimal global-shaped LPs");
@@ -302,6 +339,56 @@ fn simplex_outputs_are_bit_identical_to_the_recorded_run() {
     assert_eq!(
         h.0, EXPECTED,
         "simplex outputs moved: hash {:#018x}, recorded {EXPECTED:#018x}",
+        h.0
+    );
+}
+
+#[test]
+fn certificate_reports_are_identical_to_the_recorded_run() {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let (mut certified, mut rejected) = (0, 0);
+    for (case, p) in family().iter().enumerate() {
+        let reports = match solve_certified(p) {
+            Ok(Certified::Optimal(s)) => {
+                let mut perturbed = s.clone();
+                let y = &mut perturbed.certificate.y;
+                if !y.is_empty() {
+                    let i = case % y.len();
+                    y[i] += 0.25 * (1.0 + y[i].abs());
+                }
+                let mut dropped = s.clone();
+                dropped.certificate.basis.pop();
+                [check(p, &s), check(p, &perturbed), check(p, &dropped)]
+            }
+            Ok(Certified::Infeasible { ray }) => {
+                let mut perturbed = ray.clone();
+                let i = case % perturbed.y.len();
+                perturbed.y[i] += 0.25 * (1.0 + perturbed.y[i].abs());
+                let mut dropped = ray.clone();
+                dropped.y.pop();
+                [
+                    check_infeasible(p, &ray),
+                    check_infeasible(p, &perturbed),
+                    check_infeasible(p, &dropped),
+                ]
+            }
+            Err(_) => continue,
+        };
+        let [honest, perturbed, dropped] = &reports;
+        assert!(honest.ok(), "case {case}: {:?}", honest.violations);
+        assert!(!dropped.ok(), "case {case}: dropped copy verified");
+        certified += 1;
+        rejected += usize::from(!perturbed.ok());
+        for r in &reports {
+            hash_report(&mut h, r);
+        }
+    }
+    // the family must exercise what it claims to
+    assert!(certified >= 56, "{certified} certified outcomes");
+    assert!(rejected >= 40, "{rejected} rejected perturbed copies");
+    assert_eq!(
+        h.0, EXPECTED_REPORTS,
+        "checker reports moved: hash {:#018x}, recorded {EXPECTED_REPORTS:#018x}",
         h.0
     );
 }
