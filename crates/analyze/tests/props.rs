@@ -68,6 +68,7 @@ const FRAGMENTS: &[&str] = &[
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    #[test]
     fn tokenizer_never_panics_on_arbitrary_bytes(
         bytes in proptest::collection::vec(0u8..=255u8, 0..512),
     ) {
@@ -82,6 +83,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn passes_never_panic_on_fragment_soup(
         picks in proptest::collection::vec((0usize..FRAGMENTS.len(), 0u8..=7u8), 0..120),
     ) {
@@ -98,6 +100,7 @@ proptest! {
         let _ = analyze_str("crates/core/src/local.rs", &src, &AnalyzeConfig::default());
     }
 
+    #[test]
     fn passes_never_panic_on_arbitrary_bytes(
         bytes in proptest::collection::vec(0u8..=255u8, 0..400),
     ) {

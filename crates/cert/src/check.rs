@@ -177,6 +177,21 @@ pub fn check_infeasible(p: &Problem, ray: &FarkasRay) -> Report {
     check_infeasible_with(p, ray, &CheckConfig::default())
 }
 
+/// Whether two objective values of one problem agree within the
+/// default tolerance band `ε·(1 + |a| + |b|)`, compared exactly. Two
+/// certified optima of the same LP (a warm and a cold solve, say) must
+/// pass this; a non-finite value never agrees.
+pub fn objectives_agree(a: f64, b: f64) -> bool {
+    let (Some(a), Some(b)) = (BigRat::from_f64_exact(a), BigRat::from_f64_exact(b)) else {
+        return false;
+    };
+    let mut mag = BigRat::one();
+    mag.add_abs_assign(&a);
+    mag.add_abs_assign(&b);
+    let band = BigRat::two_pow(CheckConfig::default().eps_exp).mul(&mag);
+    a.sub(&b).within(&band)
+}
+
 /// Dispatches to [`check`] or [`check_infeasible`] on a solve outcome.
 pub fn check_certified(p: &Problem, outcome: &Certified) -> Report {
     match outcome {
@@ -814,6 +829,17 @@ mod tests {
             Certified::Optimal(_) => panic!("unexpected optimum"),
             Certified::Infeasible { ray } => ray,
         }
+    }
+
+    #[test]
+    fn objective_agreement_band() {
+        // ε = 2^-17 ≈ 7.6e-6, scaled by 1 + |a| + |b|
+        assert!(objectives_agree(100.0, 100.0 + 1e-4));
+        assert!(!objectives_agree(100.0, 100.01));
+        assert!(objectives_agree(0.0, 5e-6));
+        assert!(!objectives_agree(0.0, 1e-5));
+        assert!(!objectives_agree(f64::NAN, f64::NAN));
+        assert!(!objectives_agree(f64::INFINITY, f64::INFINITY));
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod check;
 pub mod rat;
 
 pub use check::{
-    check, check_certified, check_infeasible, check_infeasible_with, check_with, CheckConfig,
-    Report, Violation,
+    check, check_certified, check_infeasible, check_infeasible_with, check_with, objectives_agree,
+    CheckConfig, Report, Violation,
 };
 pub use rat::BigRat;

@@ -375,7 +375,8 @@ pub enum FaultSite {
     NanArcDelay,
     /// Corrupt the stage-LUT estimates used to bound one arc's Δ.
     CorruptLutRow,
-    /// Make one LP solve infeasible by injecting a contradictory row.
+    /// Make one LP build infeasible by injecting a contradictory row;
+    /// a round's as-built LP serves all of its λ points.
     InfeasibleLp,
     /// Panic inside one local-phase candidate worker.
     WorkerPanic,

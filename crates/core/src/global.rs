@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use clk_liberty::{CellId, CornerId, Library};
-use clk_lp::{LpError, Problem, RowKind, Solution, VarId};
+use clk_lp::{Certified, Lp, LpError, Problem, RowKind, Solution, VarId};
 use clk_netlist::{Arc, ArcId, ArcSet, ClockTree, Floorplan, NodeId, NodeKind, SinkPair};
 use clk_obs::{kv, Deadline, LedgerRecord, Level, Obs};
 use clk_route::RoutePath;
@@ -122,6 +122,7 @@ pub struct GlobalReport {
 }
 
 /// Per-arc LP variables.
+#[derive(Clone)]
 struct ArcVars {
     /// `(pos, neg)` per corner.
     delta: Vec<(VarId, VarId)>,
@@ -130,6 +131,42 @@ struct ArcVars {
 /// A solved sweep point: the LP solution plus the per-arc variable map
 /// needed to read the Δ targets back out.
 type SolvedPoint = (Solution, BTreeMap<ArcId, ArcVars>);
+
+/// What every build of one round's LP is made from.
+#[derive(Clone, Copy)]
+struct LpInputs<'a> {
+    tree: &'a ClockTree,
+    lib: &'a Library,
+    luts: &'a StageLuts,
+    arcs: &'a ArcSet,
+    arc_d: &'a [Vec<f64>],
+    timings: &'a [CornerTiming],
+    sel_pairs: &'a [SinkPair],
+    path_of: &'a BTreeMap<NodeId, Vec<ArcId>>,
+    involved: &'a [ArcId],
+    alphas: &'a [f64],
+    bounds: &'a [Option<RatioBounds>],
+    cfg: &'a GlobalConfig,
+}
+
+/// A round's as-configured LP (rung "none"), built once and re-priced
+/// for each λ point; each solve after the first optimal one starts from
+/// the previous optimal basis.
+struct RoundLp {
+    lp: Lp,
+    vars: BTreeMap<ArcId, ArcVars>,
+}
+
+impl RoundLp {
+    /// Sets every Δ cost to `lambda`; the V costs stay 1.
+    fn price(&mut self, lambda: f64) -> Result<(), LpError> {
+        for &(pos, neg) in self.vars.values().flat_map(|av| av.delta.iter()) {
+            self.lp.set_cost(pos, lambda)?;
+            self.lp.set_cost(neg, lambda)?;
+        }
+        Ok(())
+    }
+}
 
 /// Runs the global optimization and returns the optimized tree plus a
 /// report. The input tree is not modified.
@@ -411,6 +448,23 @@ fn global_round(
         v
     };
 
+    let inputs = LpInputs {
+        tree,
+        lib,
+        luts,
+        arcs: &arcs,
+        arc_d: &arc_d,
+        timings: &timings,
+        sel_pairs: &sel_pairs,
+        path_of: &path_of,
+        involved: &involved,
+        alphas: &alphas,
+        bounds,
+        cfg,
+    };
+    // built by the first λ point that reaches the ladder, dropped with
+    // the round
+    let mut round_lp: Option<Result<RoundLp, LpError>> = None;
     let mut best: Option<(ClockTree, f64, f64, usize, Option<f64>)> = None;
     let mut lp_iterations = 0usize;
     let mut sweep = Vec::with_capacity(cfg.lambdas.len());
@@ -453,22 +507,7 @@ fn global_round(
             variation_after: None,
             accepted: false,
         };
-        let solved = match solve_with_ladder(
-            tree,
-            lib,
-            luts,
-            &arcs,
-            &arc_d,
-            &timings,
-            &sel_pairs,
-            &path_of,
-            &involved,
-            &alphas,
-            bounds,
-            LpObjective::Scalarized(lambda),
-            cfg,
-            ctx,
-        ) {
+        let solved = match solve_with_ladder(&inputs, &mut round_lp, lambda, ctx) {
             Ok(s) => s,
             // an interrupted solve carries no certificate: drop this λ
             // point, keep the sweep's best-so-far, stop sweeping
@@ -781,6 +820,13 @@ pub(crate) fn verify_certificate(
 /// whose certificate fails exact re-verification is treated like a
 /// failed solve: the answer is discarded and the next rung runs.
 ///
+/// The as-built rung solves the round's [`RoundLp`], built by the first
+/// λ point that gets here and re-priced for each later one, so a later
+/// point starts from the previous optimal basis. A warm solve that fails
+/// or fails its certificate is re-solved cold on the same rung before the
+/// ladder goes down. The relaxed and degraded rungs build and solve cold,
+/// once per attempt.
+///
 /// # Errors
 ///
 /// `Err` only for cooperative interruption
@@ -788,33 +834,19 @@ pub(crate) fn verify_certificate(
 /// cancelled solve must not be retried on a lower rung — the ladder is
 /// for *broken* solves, not abandoned ones. Every genuine failure
 /// degrades to `Ok(None)` (skip the sweep point).
-#[allow(clippy::too_many_arguments)]
 fn solve_with_ladder(
-    tree: &ClockTree,
-    lib: &Library,
-    luts: &StageLuts,
-    arcs: &ArcSet,
-    arc_d: &[Vec<f64>],
-    timings: &[CornerTiming],
-    sel_pairs: &[SinkPair],
-    path_of: &BTreeMap<NodeId, Vec<ArcId>>,
-    involved: &[ArcId],
-    alphas: &[f64],
-    bounds: &[Option<RatioBounds>],
-    objective: LpObjective,
-    cfg: &GlobalConfig,
+    inputs: &LpInputs<'_>,
+    round_lp: &mut Option<Result<RoundLp, LpError>>,
+    lambda: f64,
     ctx: &mut FaultCtx<'_>,
 ) -> Result<Option<(SolvedPoint, &'static str)>, FlowError> {
     let obs = ctx.obs.clone();
+    let objective = LpObjective::Scalarized(lambda);
     let attempt = |relax: &Relaxation,
                    rung: &str,
                    ctx: &mut FaultCtx<'_>|
      -> Result<SolvedPoint, LadderFault> {
-        let (p, vars) = build_problem(
-            tree, lib, luts, arcs, arc_d, timings, sel_pairs, path_of, involved, alphas, bounds,
-            objective, cfg, relax, ctx,
-        )
-        .map_err(LadderFault::Lp)?;
+        let (p, vars) = build_problem(inputs, objective, relax, ctx).map_err(LadderFault::Lp)?;
         ctx.obs.count("global.lp_rows_built", p.num_rows() as u64);
         let sol =
             clk_lp::solve_with_deadline(&p, &ctx.obs, &ctx.deadline).map_err(LadderFault::Lp)?;
@@ -826,7 +858,19 @@ fn solve_with_ladder(
         obs.event(Level::Debug, "global.ladder", vec![kv("rung", rung)]);
         obs.count(&format!("global.ladder.{rung}"), 1);
     };
-    match attempt(&Relaxation::NONE, "none", ctx) {
+    let round = round_lp.get_or_insert_with(|| {
+        let (p, vars) = build_problem(inputs, objective, &Relaxation::NONE, ctx)?;
+        ctx.obs.count("global.lp_rows_built", p.num_rows() as u64);
+        Ok(RoundLp {
+            lp: Lp::new(p),
+            vars,
+        })
+    });
+    let as_built = match round {
+        Ok(round) => solve_round_lp(round, lambda, ctx).map(|sol| (sol, round.vars.clone())),
+        Err(e) => Err(LadderFault::Lp(e.clone())),
+    };
+    match as_built {
         Ok(r) => {
             rung_taken("none");
             return Ok(Some((r, "none")));
@@ -890,43 +934,68 @@ fn solve_with_ladder(
     }
 }
 
+/// The as-built rung: prices the round's LP at `lambda` and solves it,
+/// warm when the previous λ point left an optimal basis. A warm solve
+/// that fails or fails its certificate counts as `lp.warm_fallbacks` and
+/// is re-solved cold; any failure leaves the handle cold for the next λ.
+/// Debug builds re-solve every certified warm point cold and assert that
+/// both objectives agree within the certificate tolerance.
+fn solve_round_lp(
+    round: &mut RoundLp,
+    lambda: f64,
+    ctx: &mut FaultCtx<'_>,
+) -> Result<Solution, LadderFault> {
+    round.price(lambda).map_err(LadderFault::Lp)?;
+    let site = format!("{:?} rung=none", LpObjective::Scalarized(lambda));
+    let solve = |lp: &mut Lp, ctx: &FaultCtx<'_>| -> Result<Solution, LadderFault> {
+        let sol = match lp.solve(&ctx.obs, &ctx.deadline) {
+            Ok(Certified::Optimal(sol)) => sol,
+            Ok(Certified::Infeasible { .. }) => return Err(LadderFault::Lp(LpError::Infeasible)),
+            Err(e) => return Err(LadderFault::Lp(e)),
+        };
+        if let Err(e) = verify_certificate(lp.problem(), &sol, &ctx.obs, &site) {
+            lp.discard_basis();
+            return Err(LadderFault::Cert(e));
+        }
+        Ok(sol)
+    };
+    let warm = round.lp.is_warm();
+    match solve(&mut round.lp, ctx) {
+        Ok(sol) => {
+            #[cfg(debug_assertions)]
+            if warm {
+                // differential oracle; an uninstrumented solve with no
+                // deadline keeps the obs counters and deadline polls equal
+                // across build profiles
+                let cold = clk_lp::solve(round.lp.problem());
+                assert!(
+                    cold.as_ref()
+                        .is_ok_and(|c| clk_cert::objectives_agree(sol.objective, c.objective)),
+                    "warm solve at lambda {lambda} reached {}, a cold solve {cold:?}",
+                    sol.objective
+                );
+            }
+            Ok(sol)
+        }
+        Err(e) if !warm || matches!(e, LadderFault::Lp(LpError::Interrupted)) => Err(e),
+        Err(e) => {
+            ctx.obs.count("lp.warm_fallbacks", 1);
+            ctx.record(
+                "global",
+                e.kind(),
+                RecoveryAction::Retry,
+                format!("{e} after a warm start; re-solving cold"),
+            );
+            solve(&mut round.lp, ctx)
+        }
+    }
+}
+
 /// Builds the LP of Eqs. (4)–(11) and solves it once, with no ladder —
 /// the analysis-path entry (`u_sweep`) that predates the fault runtime.
-#[allow(clippy::too_many_arguments)]
-fn build_and_solve(
-    tree: &ClockTree,
-    lib: &Library,
-    luts: &StageLuts,
-    arcs: &ArcSet,
-    arc_d: &[Vec<f64>],
-    timings: &[CornerTiming],
-    sel_pairs: &[SinkPair],
-    path_of: &BTreeMap<NodeId, Vec<ArcId>>,
-    involved: &[ArcId],
-    alphas: &[f64],
-    bounds: &[Option<RatioBounds>],
-    objective: LpObjective,
-    cfg: &GlobalConfig,
-) -> Option<SolvedPoint> {
+fn build_and_solve(inputs: &LpInputs<'_>, objective: LpObjective) -> Option<SolvedPoint> {
     let mut ctx = FaultCtx::passive();
-    let (p, vars) = build_problem(
-        tree,
-        lib,
-        luts,
-        arcs,
-        arc_d,
-        timings,
-        sel_pairs,
-        path_of,
-        involved,
-        alphas,
-        bounds,
-        objective,
-        cfg,
-        &Relaxation::NONE,
-        &mut ctx,
-    )
-    .ok()?;
+    let (p, vars) = build_problem(inputs, objective, &Relaxation::NONE, &mut ctx).ok()?;
     let sol = clk_lp::solve(&p).ok()?;
     let site = format!("{objective:?} u_sweep");
     verify_certificate(&p, &sol, &ctx.obs, &site).ok()?;
@@ -945,24 +1014,27 @@ fn build_and_solve(
 ///
 /// Propagates the builder's [`LpError`] (non-finite bound/coefficient,
 /// unknown variable) instead of panicking.
-#[allow(clippy::too_many_arguments)]
 fn build_problem(
-    tree: &ClockTree,
-    lib: &Library,
-    luts: &StageLuts,
-    arcs: &ArcSet,
-    arc_d: &[Vec<f64>],
-    timings: &[CornerTiming],
-    sel_pairs: &[SinkPair],
-    path_of: &BTreeMap<NodeId, Vec<ArcId>>,
-    involved: &[ArcId],
-    alphas: &[f64],
-    bounds: &[Option<RatioBounds>],
+    inputs: &LpInputs<'_>,
     objective: LpObjective,
-    cfg: &GlobalConfig,
     relax: &Relaxation,
     ctx: &mut FaultCtx<'_>,
 ) -> Result<(Problem, BTreeMap<ArcId, ArcVars>), LpError> {
+    let _prof = ctx.obs.prof_scope("global.lp_build");
+    let LpInputs {
+        tree,
+        lib,
+        luts,
+        arcs,
+        arc_d,
+        timings,
+        sel_pairs,
+        path_of,
+        involved,
+        alphas,
+        bounds,
+        cfg,
+    } = *inputs;
     let n_corners = arc_d.len();
     let (delta_cost, v_cost) = match objective {
         LpObjective::Scalarized(lambda) => (lambda, 1.0),
@@ -1229,24 +1301,24 @@ pub fn u_sweep(
     let mut involved: Vec<ArcId> = involved_set.into_iter().collect();
     involved.sort_unstable();
     let bounds = ratio_corridors(luts, n_corners, cfg.ratio_margin);
-
-    // lower end of the sweep: the unconstrained ΣV optimum
-    let floor = build_and_solve(
+    let inputs = LpInputs {
         tree,
         lib,
         luts,
-        &arcs,
-        &arc_d,
-        &timings,
-        &sel_pairs,
-        &path_of,
-        &involved,
-        &alphas,
-        &bounds,
-        LpObjective::Scalarized(1e-6),
+        arcs: &arcs,
+        arc_d: &arc_d,
+        timings: &timings,
+        sel_pairs: &sel_pairs,
+        path_of: &path_of,
+        involved: &involved,
+        alphas: &alphas,
+        bounds: &bounds,
         cfg,
-    )
-    .map_or(0.0, |(sol, _)| sol.objective.max(0.0));
+    };
+
+    // lower end of the sweep: the unconstrained ΣV optimum
+    let floor = build_and_solve(&inputs, LpObjective::Scalarized(1e-6))
+        .map_or(0.0, |(sol, _)| sol.objective.max(0.0));
 
     let mut out = Vec::with_capacity(n_points);
     for i in 0..n_points.max(2) {
@@ -1254,21 +1326,7 @@ pub fn u_sweep(
         let lo = floor.max(1.0e-3);
         let t = i as f64 / (n_points.max(2) - 1) as f64;
         let u = sel_sum.max(lo) * (lo / sel_sum.max(lo)).powf(t);
-        match build_and_solve(
-            tree,
-            lib,
-            luts,
-            &arcs,
-            &arc_d,
-            &timings,
-            &sel_pairs,
-            &path_of,
-            &involved,
-            &alphas,
-            &bounds,
-            LpObjective::UBound(u),
-            cfg,
-        ) {
+        match build_and_solve(&inputs, LpObjective::UBound(u)) {
             Some((sol, vars)) => {
                 let total_delta: f64 = vars
                     .values()

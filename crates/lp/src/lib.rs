@@ -12,6 +12,13 @@
 //! basis inverse, two-phase start (artificial variables), Dantzig
 //! pricing and a Bland anti-cycling fallback.
 //!
+//! [`Lp`] solves one problem under a sequence of cost vectors. It keeps
+//! the tableau of its last optimal solve; after [`Lp::set_cost`], the next
+//! solve skips the two-phase start and continues phase 2 from that basis,
+//! which stays primal feasible because rows and bounds cannot change. The
+//! free `solve*` functions run the same code with nothing kept: one pivot
+//! loop serves both.
+//!
 //! The inverse is stored as a dense column-major m×m array with an exact
 //! bitset of nonzero rows per column. ftran scatters only the nonzeros
 //! of the columns the entering column touches, btran sums each dual over
@@ -46,6 +53,6 @@ pub mod simplex;
 
 pub use simplex::{
     solve, solve_certified, solve_certified_with_deadline, solve_certified_with_obs,
-    solve_with_deadline, solve_with_obs, Certificate, Certified, FarkasRay, LpError, Problem,
+    solve_with_deadline, solve_with_obs, Certificate, Certified, FarkasRay, Lp, LpError, Problem,
     RowKind, Solution, VarId, VarStatus, REDUNDANT_ROW,
 };

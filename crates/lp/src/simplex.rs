@@ -418,6 +418,53 @@ impl Work {
     }
 }
 
+/// A tableau between solves, its basis inverse packed to the nonzero
+/// entries.
+struct Parked {
+    /// the tableau with an empty `binv`
+    tableau: Tableau,
+    /// the nonzero entries of `binv`, column by column, each column in
+    /// the ascending row order of its bitset
+    binv_nz: Vec<f64>,
+}
+
+// column and row indices come from the tableau's own bitsets
+#[allow(clippy::indexing_slicing)]
+impl Parked {
+    fn pack(mut t: Tableau) -> Parked {
+        let m = t.m;
+        let ones = t.nz.iter().map(|w| w.count_ones() as usize).sum();
+        let mut binv_nz = Vec::with_capacity(ones);
+        for k in 0..m {
+            let col = &t.binv[k * m..(k + 1) * m];
+            each_bit(t.col_bits(k).iter().copied(), |i| binv_nz.push(col[i]));
+        }
+        t.binv = Vec::new();
+        Parked {
+            tableau: t,
+            binv_nz,
+        }
+    }
+
+    /// The tableau with its dense `binv` restored. Entries that were ±0
+    /// come back as +0; nothing reads the sign of a zero entry, since
+    /// ftran, btran and the eta update skip every entry whose bit is
+    /// clear.
+    fn unpack(self) -> Tableau {
+        let mut t = self.tableau;
+        let (m, words) = (t.m, t.words);
+        let mut binv = vec![0.0; m * m];
+        let mut vals = self.binv_nz.into_iter();
+        for (k, col) in binv.chunks_exact_mut(m.max(1)).enumerate() {
+            let bits = t.nz[k * words..(k + 1) * words].iter().copied();
+            each_bit(bits, |i| col[i] = vals.next().unwrap_or(0.0));
+        }
+        debug_assert_eq!(vals.len(), 0, "packed entries left over");
+        t.binv = binv;
+        t
+    }
+}
+
 /// Calls `f` on the index of every set bit of `words`, in ascending order.
 #[inline]
 fn each_bit(words: impl Iterator<Item = u64>, mut f: impl FnMut(usize)) {
@@ -544,6 +591,11 @@ impl Tableau {
                 "column {k} bitset differs from its nonzero rows"
             );
         }
+    }
+
+    /// Pivot budget of a solve, phase 1 and phase 2 together.
+    fn budget(&self) -> usize {
+        200 + 60 * (self.cols.len() + self.m)
     }
 
     fn reduced_cost(&self, j: usize, y: &[f64], cost: &[f64]) -> f64 {
@@ -832,15 +884,138 @@ pub fn solve_certified_with_deadline(
     obs: &Obs,
     deadline: &Deadline,
 ) -> Result<Certified, LpError> {
+    solve_observed(p, None, obs, deadline)
+}
+
+/// A [`Problem`] together with the tableau of its last optimal solve,
+/// for solving one LP under a sequence of cost vectors.
+///
+/// Only the objective can change ([`Lp::set_cost`]); rows and bounds are
+/// fixed once the handle is built, so the kept basis stays primal
+/// feasible. The first [`Lp::solve`] runs the two-phase start of
+/// [`solve`]. Each later solve continues phase 2 from the kept basis
+/// inverse under the new costs, with the same pivot loop and the same
+/// extraction. A solve that does not end optimal discards the tableau,
+/// so the next one starts cold. Between solves the basis inverse is
+/// kept as its nonzero entries only (about a tenth of the dense m²
+/// array on the global LP), and expanded again when the next solve
+/// starts.
+///
+/// ```
+/// use clk_lp::{Certified, Lp, Problem, RowKind};
+/// use clk_obs::{Deadline, Obs};
+///
+/// // min c·(x, y)  s.t. x + y <= 4, x <= 3, y <= 3
+/// let mut p = Problem::new();
+/// let x = p.add_var(0.0, 3.0, -1.0)?;
+/// let y = p.add_var(0.0, 3.0, -2.0)?;
+/// p.add_row(RowKind::Le, 4.0, &[(x, 1.0), (y, 1.0)])?;
+/// let mut lp = Lp::new(p);
+/// let (obs, dl) = (Obs::disabled(), Deadline::none());
+/// let Certified::Optimal(first) = lp.solve(&obs, &dl)? else { unreachable!() };
+/// assert!((first.objective + 7.0).abs() < 1e-9); // x = 1, y = 3
+/// lp.set_cost(x, -2.0)?;
+/// lp.set_cost(y, -1.0)?;
+/// assert!(lp.is_warm());
+/// let Certified::Optimal(second) = lp.solve(&obs, &dl)? else { unreachable!() };
+/// assert!((second.objective + 7.0).abs() < 1e-9); // x = 3, y = 1
+/// # Ok::<(), clk_lp::LpError>(())
+/// ```
+pub struct Lp {
+    problem: Problem,
+    /// tableau of the last solve, kept only when that solve ended optimal
+    warm: Option<Parked>,
+}
+
+impl std::fmt::Debug for Lp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Lp")
+            .field("problem", &self.problem)
+            .field("warm", &self.is_warm())
+            .finish()
+    }
+}
+
+impl Lp {
+    /// A handle over `problem` with no kept basis.
+    pub fn new(problem: Problem) -> Self {
+        Lp {
+            problem,
+            warm: None,
+        }
+    }
+
+    /// The problem as currently priced.
+    pub fn problem(&self) -> &Problem {
+        &self.problem
+    }
+
+    /// Sets the objective coefficient of `v`. The kept basis, if any,
+    /// stays: a cost change leaves it primal feasible.
+    ///
+    /// # Errors
+    ///
+    /// [`LpError::BadProblem`] if `cost` is not finite,
+    /// [`LpError::VarOutOfRange`] if `v` does not exist; the problem is
+    /// left unchanged.
+    pub fn set_cost(&mut self, v: VarId, cost: f64) -> Result<(), LpError> {
+        if !cost.is_finite() {
+            return Err(LpError::BadProblem(format!(
+                "objective coefficient must be finite, got {cost}"
+            )));
+        }
+        let c = self
+            .problem
+            .cost
+            .get_mut(v.0)
+            .ok_or(LpError::VarOutOfRange(v))?;
+        *c = cost;
+        Ok(())
+    }
+
+    /// Whether the next [`Lp::solve`] starts from a kept optimal basis.
+    pub fn is_warm(&self) -> bool {
+        self.warm.is_some()
+    }
+
+    /// Drops the kept basis, so the next [`Lp::solve`] starts cold (for
+    /// a caller that rejected the last solution on its own checks).
+    pub fn discard_basis(&mut self) {
+        self.warm = None;
+    }
+
+    /// Solves the problem under its current costs, warm when a basis is
+    /// kept; same metrics and interruption contract as
+    /// [`solve_certified_with_deadline`], plus `lp.warm_solves`.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`solve_certified_with_deadline`].
+    pub fn solve(&mut self, obs: &Obs, deadline: &Deadline) -> Result<Certified, LpError> {
+        solve_observed(&self.problem, Some(&mut self.warm), obs, deadline)
+    }
+}
+
+/// [`solve_inner`] under the `lp.solve` span, profiler scope and metrics.
+fn solve_observed(
+    p: &Problem,
+    kept: Option<&mut Option<Parked>>,
+    obs: &Obs,
+    deadline: &Deadline,
+) -> Result<Certified, LpError> {
     let _prof = obs.prof_scope("lp.solve");
     let mut span = obs.span_at(
         Level::Trace,
         "lp.solve",
         vec![kv("vars", p.num_vars()), kv("rows", p.num_rows())],
     );
-    let result = solve_inner(p, obs, deadline);
+    let warm = kept.as_ref().is_some_and(|k| k.is_some());
+    let result = solve_inner(p, kept, obs, deadline);
     if obs.enabled() {
         obs.count("lp.solves", 1);
+        if warm {
+            obs.count("lp.warm_solves", 1);
+        }
         match &result {
             Ok(Certified::Optimal(sol)) => {
                 obs.count("lp.pivots", sol.iterations as u64);
@@ -871,11 +1046,13 @@ pub fn solve_certified_with_deadline(
     result
 }
 
+/// The slack/artificial starting basis of `p`, and whether it needs
+/// phase 1 (some artificial carries a nonzero residual).
 // all indices below are derived from the problem's own dimensions; the
 // `sv == lo` comparison is exact on purpose (`clamp` returns the bound
 // itself, bit-identically)
 #[allow(clippy::indexing_slicing, clippy::float_cmp)]
-fn solve_inner(p: &Problem, obs: &Obs, deadline: &Deadline) -> Result<Certified, LpError> {
+fn slack_start(p: &Problem, obs: &Obs) -> (Tableau, bool) {
     let m = p.num_rows();
     let n_struct = p.num_vars();
 
@@ -987,7 +1164,7 @@ fn solve_inner(p: &Problem, obs: &Obs, deadline: &Deadline) -> Result<Certified,
         binv[row * m + row] = sign;
     }
     drop(refactor_prof);
-    let mut t = Tableau {
+    let t = Tableau {
         cols,
         lo,
         hi,
@@ -1001,33 +1178,66 @@ fn solve_inner(p: &Problem, obs: &Obs, deadline: &Deadline) -> Result<Certified,
         xb,
         m,
     };
+    (t, need_phase1)
+}
 
-    let budget = 200 + 60 * (t.cols.len() + m);
-    let mut phase1 = PhaseStats::default();
-    if need_phase1 {
-        phase1 = t.optimize(true, budget, obs, deadline)?;
-        let infeas: f64 = (0..m)
-            .filter(|&i| t.basis[i] >= n_struct + m)
-            .map(|i| t.xb[i])
-            .sum();
-        if infeas > 1e-6 {
-            // phase-1 optimum with positive artificial mass: the phase-1
-            // duals witness the contradiction (yᵀb exceeds the maximum of
-            // yᵀAx over the bounds by exactly the residual infeasibility)
-            let y = t.duals(&t.phase_cost);
-            return Ok(Certified::Infeasible {
-                ray: FarkasRay { y },
-            });
+/// Solves `p`, continuing phase 2 from `kept` when it holds the tableau
+/// of an earlier optimal solve of the same rows and bounds. With a slot
+/// to keep it in, the final tableau is parked there exactly when this
+/// solve ends optimal.
+// all indices below are derived from the problem's own dimensions
+#[allow(clippy::indexing_slicing)]
+fn solve_inner(
+    p: &Problem,
+    mut kept: Option<&mut Option<Parked>>,
+    obs: &Obs,
+    deadline: &Deadline,
+) -> Result<Certified, LpError> {
+    let m = p.num_rows();
+    let n_struct = p.num_vars();
+    let (mut t, phase1) = match kept.as_mut().and_then(|k| k.take()) {
+        Some(parked) => {
+            let mut t = {
+                let _refactor_prof = obs.prof_scope("refactor");
+                parked.unpack()
+            };
+            // the kept basis is primal feasible for any costs: re-price
+            // and go straight to phase 2
+            t.cost[..n_struct].copy_from_slice(&p.cost);
+            (t, PhaseStats::default())
         }
-        // pin artificials to zero for phase 2
-        for j in (n_struct + m)..t.cols.len() {
-            t.lo[j] = 0.0;
-            t.hi[j] = 0.0;
-            if t.state[j] != State::Basic {
-                t.state[j] = State::AtLower;
+        None => {
+            let (mut t, need_phase1) = slack_start(p, obs);
+            let mut phase1 = PhaseStats::default();
+            if need_phase1 {
+                phase1 = t.optimize(true, t.budget(), obs, deadline)?;
+                let infeas: f64 = (0..m)
+                    .filter(|&i| t.basis[i] >= n_struct + m)
+                    .map(|i| t.xb[i])
+                    .sum();
+                if infeas > 1e-6 {
+                    // phase-1 optimum with positive artificial mass: the
+                    // phase-1 duals witness the contradiction (yᵀb exceeds
+                    // the maximum of yᵀAx over the bounds by exactly the
+                    // residual infeasibility)
+                    let y = t.duals(&t.phase_cost);
+                    return Ok(Certified::Infeasible {
+                        ray: FarkasRay { y },
+                    });
+                }
+                // pin artificials to zero for phase 2
+                for j in (n_struct + m)..t.cols.len() {
+                    t.lo[j] = 0.0;
+                    t.hi[j] = 0.0;
+                    if t.state[j] != State::Basic {
+                        t.state[j] = State::AtLower;
+                    }
+                }
             }
+            (t, phase1)
         }
-    }
+    };
+    let budget = t.budget();
     let phase2 = t.optimize(
         false,
         budget.saturating_sub(phase1.iters).max(budget / 2),
@@ -1087,6 +1297,9 @@ fn solve_inner(p: &Problem, obs: &Obs, deadline: &Deadline) -> Result<Certified,
         .iter()
         .map(|&b| if b < n_internal { b } else { REDUNDANT_ROW })
         .collect();
+    if let Some(slot) = kept {
+        *slot = Some(Parked::pack(t));
+    }
     Ok(Certified::Optimal(Solution {
         x,
         objective,
@@ -1173,6 +1386,103 @@ mod tests {
         let dl = Deadline::from_token(&tok);
         let e = solve_with_deadline(&p, &Obs::disabled(), &dl).unwrap_err();
         assert_eq!(e, LpError::Interrupted);
+    }
+
+    /// A chain of boxed variables whose optimal vertex moves far when the
+    /// costs are reversed, so a warm re-solve needs many pivots.
+    fn reversible_chain(n: usize) -> (Lp, Vec<VarId>) {
+        let mut p = Problem::new();
+        let vars: Vec<VarId> = (0..n)
+            .map(|i| p.add_var(0.0, 10.0, -(1.0 + i as f64)).unwrap())
+            .collect();
+        for i in 0..n - 1 {
+            p.add_row(RowKind::Le, 12.0, &[(vars[i], 1.0), (vars[i + 1], 1.0)])
+                .unwrap();
+        }
+        let mut lp = Lp::new(p);
+        lp.solve(&Obs::disabled(), &Deadline::none()).unwrap();
+        assert!(lp.is_warm(), "an optimal cold solve keeps its tableau");
+        for (i, &v) in vars.iter().enumerate() {
+            lp.set_cost(v, -((n - i) as f64) - 0.5 * (i % 3) as f64)
+                .unwrap();
+        }
+        (lp, vars)
+    }
+
+    #[test]
+    fn trip_mid_warm_solve_acks_within_one_stride_and_next_solve_is_cold() {
+        use clk_obs::{CancelToken, ObsConfig};
+        let (mut full, _) = reversible_chain(64);
+        let Certified::Optimal(warm) = full.solve(&Obs::disabled(), &Deadline::none()).unwrap()
+        else {
+            panic!("re-priced chain is feasible and bounded");
+        };
+        assert!(
+            warm.iterations as u64 > SIMPLEX_POLL_STRIDE,
+            "warm solve too short to cut mid-way: {} pivots",
+            warm.iterations
+        );
+
+        let (mut lp, _) = reversible_chain(64);
+        let obs = Obs::new(ObsConfig {
+            verbosity: Level::Trace,
+            ..ObsConfig::default()
+        });
+        let trace = clk_obs::SharedBuf::new();
+        obs.add_jsonl_buffer(&trace);
+        let tok = CancelToken::new();
+        tok.trip_after_polls(2); // trips after the first stride of pivots
+        let dl = Deadline::from_token(&tok);
+        assert_eq!(lp.solve(&obs, &dl).unwrap_err(), LpError::Interrupted);
+        obs.flush();
+        let pivots = trace.contents().matches("\"lp.pivot\"").count() as u64;
+        assert!(
+            pivots > 0 && pivots <= SIMPLEX_POLL_STRIDE,
+            "{pivots} pivots before the trip was acknowledged"
+        );
+        assert_eq!(dl.polls(), 2, "the tripping poll must end the solve");
+        assert!(!lp.is_warm(), "an interrupted solve keeps no tableau");
+
+        // the next solve is cold: bit-identical to a fresh solve
+        let next = lp.solve(&Obs::disabled(), &Deadline::none()).unwrap();
+        assert_eq!(next, solve_certified(lp.problem()).unwrap());
+        let Certified::Optimal(cold) = next else {
+            panic!("re-priced chain is feasible and bounded");
+        };
+        assert!((cold.objective - warm.objective).abs() < 1e-9);
+    }
+
+    #[test]
+    fn parking_keeps_every_nonzero_of_the_inverse() {
+        let (lp, _) = reversible_chain(40);
+        let mut p = lp.problem().clone();
+        // Ge rows put artificials (−1 columns) into the starting basis
+        p.add_row(RowKind::Ge, 3.0, &[(VarId(0), 1.0), (VarId(5), 2.0)])
+            .unwrap();
+        let (mut t, need_phase1) = slack_start(&p, &Obs::disabled());
+        assert!(need_phase1);
+        let budget = t.budget();
+        t.optimize(true, budget, &Obs::disabled(), &Deadline::none())
+            .unwrap();
+        let (binv, nz) = (t.binv.clone(), t.nz.clone());
+        assert!(binv.iter().filter(|v| **v != 0.0).count() > t.m);
+        let back = Parked::pack(t).unpack();
+        assert_eq!(back.nz, nz);
+        for (a, b) in binv.iter().zip(&back.binv) {
+            assert!(a.to_bits() == b.to_bits() || (*a == 0.0 && *b == 0.0));
+        }
+    }
+
+    #[test]
+    fn set_cost_validates_and_keeps_the_basis() {
+        let (mut lp, vars) = reversible_chain(4);
+        let e = lp.set_cost(vars[0], f64::NAN).unwrap_err();
+        assert!(matches!(e, LpError::BadProblem(_)), "{e}");
+        let e = lp.set_cost(VarId(99), 1.0).unwrap_err();
+        assert_eq!(e, LpError::VarOutOfRange(VarId(99)));
+        assert!(lp.is_warm());
+        lp.discard_basis();
+        assert!(!lp.is_warm());
     }
 
     #[test]

@@ -82,6 +82,14 @@ pub const DICTIONARY: &[MetricDef] = &[
     // --- clk-lp: simplex ---
     c("lp.solves", "LP solves attempted"),
     c("lp.pivots", "simplex pivots across all solves"),
+    c(
+        "lp.warm_solves",
+        "solves started from the previous optimal basis (also in lp.solves)",
+    ),
+    c(
+        "lp.warm_fallbacks",
+        "warm solves re-run cold after failing or failing their certificate",
+    ),
     c("lp.bound_flips", "nonbasic bound-flip iterations"),
     c("lp.degenerate_pivots", "pivots with zero primal step"),
     c("lp.infeasible", "solves proven infeasible"),

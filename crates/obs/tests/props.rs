@@ -25,6 +25,7 @@ fn oracle_quantile(sorted: &[f64], q: f64) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    #[test]
     fn histogram_quantiles_track_oracle(
         samples in prop::collection::vec(1e-6f64..1e6, 1..400),
         q in 0.0f64..=1.0,
@@ -52,6 +53,7 @@ proptest! {
         prop_assert_eq!(snap.max, sorted[sorted.len() - 1]);
     }
 
+    #[test]
     fn histogram_handles_zero_and_negative(
         samples in prop::collection::vec(-100.0f64..100.0, 1..100),
     ) {
@@ -68,6 +70,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn jsonl_round_trips_arbitrary_fields(
         n in 0u64..1_000_000,
         x in -1e9f64..1e9,
@@ -141,6 +144,7 @@ proptest! {
 
     /// `to_folded` → `from_folded` → `to_folded` is a fixpoint, and
     /// the total self-time weight survives the round trip.
+    #[test]
     fn folded_stack_round_trips(
         raw in prop::collection::vec(
             (prop::collection::vec(0usize..4, 1..4), 0u64..5000),
@@ -166,6 +170,7 @@ proptest! {
 
     /// Merging two snapshots equals snapshotting one histogram fed
     /// both sample sets (modulo float summation order).
+    #[test]
     fn hist_merge_matches_combined_histogram(
         a in prop::collection::vec(1e-3f64..1e4, 0..80),
         b in prop::collection::vec(1e-3f64..1e4, 0..80),
@@ -425,6 +430,7 @@ proptest! {
 
     /// The replay/waterfall contract: encode -> parse is structurally
     /// lossless and re-encoding is **byte-identical**.
+    #[test]
     fn ledger_jsonl_round_trips_byte_identical(records in LedgerRecords(0, 24)) {
         let text = ledger::encode_jsonl(&records);
         let parsed = ledger::parse_jsonl(&text).expect("own encoding parses");
@@ -434,6 +440,7 @@ proptest! {
 
     /// Truncating the final line anywhere inside it is a typed
     /// [`LedgerError::Malformed`], never a silently shortened ledger.
+    #[test]
     fn truncated_ledger_line_is_typed_error(
         records in LedgerRecords(1, 8),
         cut in 1usize..4096,
@@ -455,6 +462,7 @@ proptest! {
 
     /// NaN/Inf never survives: dropped (and counted) at append time,
     /// and the serialized `null` parses as a typed error, not a zero.
+    #[test]
     fn nonfinite_floats_never_round_trip(sel in 0usize..3) {
         let rec = LedgerRecord::FlowEnd {
             var: [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][sel],

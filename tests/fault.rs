@@ -14,8 +14,9 @@ use clk_netlist::io::write_ctree;
 use clk_netlist::{ClockTree, NodeId, SinkPair};
 use clk_skewopt::predictor::Topo;
 use clk_skewopt::{
-    local_optimize_checked, try_optimize_with, Deadline, FaultCtx, FaultPlan, FaultSite, Flow,
-    FlowConfig, GlobalConfig, LocalConfig, PhaseBudget, Ranker, StageLuts, TreeTxn,
+    global_optimize_checked, local_optimize_checked, try_optimize_with, Deadline, FaultCtx,
+    FaultKind, FaultPlan, FaultSite, Flow, FlowConfig, GlobalConfig, LocalConfig, PhaseBudget,
+    Ranker, RecoveryAction, StageLuts, TreeTxn,
 };
 
 use clk_cts::{Testcase, TestcaseKind};
@@ -134,6 +135,53 @@ fn nan_pair_weight_with_gates_off_does_not_panic() {
             let _ = e.to_string();
         }
     }
+}
+
+/// An injected contradictory row lands in the round's one as-built LP,
+/// which serves every λ point of the round: each point's as-built solve
+/// proves it infeasible and the ladder recovers on the relaxed rung,
+/// whose builds are clean because the one shot is spent.
+#[test]
+fn infeasible_round_lp_fails_every_lambda_point_of_its_round() {
+    let tc = Testcase::generate(TestcaseKind::Cls1v1, 24, 5);
+    let cfg = quick_cfg();
+    let plan = FaultPlan::inert(11);
+    plan.arm(FaultSite::InfeasibleLp, 0, 1);
+    let mut ctx = FaultCtx::new(Some(&plan), Deadline::none());
+    let (opt, report) = global_optimize_checked(
+        &tc.tree,
+        &tc.lib,
+        &tc.floorplan,
+        luts(),
+        &cfg.global,
+        None,
+        &mut ctx,
+        &PhaseBudget::unlimited(),
+    )
+    .expect("the ladder absorbs an infeasible LP");
+    opt.validate().expect("optimized tree is valid");
+    assert_eq!(plan.injected(), vec![FaultSite::InfeasibleLp]);
+    assert_eq!(report.sweep.len(), cfg.global.lambdas.len());
+    let retried = ctx
+        .log
+        .of_kind(FaultKind::LpFailure)
+        .filter(|f| f.action == RecoveryAction::Retry)
+        .filter(|f| f.detail.contains("relaxed guardbands"))
+        .count();
+    assert_eq!(
+        retried,
+        cfg.global.lambdas.len(),
+        "every λ point must meet the infeasible build:\n{}",
+        ctx.log.to_text()
+    );
+    for point in &report.sweep {
+        assert!(
+            point.lp_objective.is_finite(),
+            "λ {} was not recovered: {point:?}",
+            point.lambda
+        );
+    }
+    assert!(report.variation_after <= report.variation_before);
 }
 
 /// A planted corruption: raw edit applied to a fresh testcase tree.

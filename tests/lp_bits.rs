@@ -24,13 +24,24 @@
 //! the honest outcome and on a perturbed-dual and a dropped-basis copy of
 //! it is hashed into `EXPECTED_REPORTS`, so a change to the checker's
 //! arithmetic that moves one verdict, residual or message fails here.
+//!
+//! The family also checks warm starts ([`clk_lp::Lp`]): every LP that
+//! solves optimal is re-priced twice and re-solved from its last optimal
+//! basis. Each warm and cold solution must certify, and their objectives
+//! must agree within the certificate tolerance. A handle's cold solves
+//! hash to `EXPECTED` as well, a re-solve at unchanged costs takes no
+//! pivot, a solve that does not end optimal keeps no basis, and a λ
+//! sweep over the global-shaped LPs keeps the Δ spend monotone.
 
 // float arithmetic is the domain here; the workspace lint exists for
 // exact-arithmetic code (clk-cert escalates it to deny)
 #![allow(clippy::float_arithmetic)]
 
-use clk_cert::{check, check_infeasible, Report};
-use clk_lp::{solve_certified, Certified, LpError, Problem, RowKind, VarId, VarStatus};
+use clk_cert::{check, check_infeasible, objectives_agree, Report};
+use clk_lp::{
+    solve_certified, Certified, Lp, LpError, Problem, RowKind, Solution, VarId, VarStatus,
+};
+use clk_obs::{Deadline, Obs};
 
 /// Recorded from the solver before the column-major basis inverse.
 const EXPECTED: u64 = 0x384a_e407_0e5f_104e;
@@ -391,4 +402,220 @@ fn certificate_reports_are_identical_to_the_recorded_run() {
         "checker reports moved: hash {:#018x}, recorded {EXPECTED_REPORTS:#018x}",
         h.0
     );
+}
+
+fn optimal(r: Result<Certified, LpError>, case: usize, what: &str) -> Solution {
+    match r {
+        Ok(Certified::Optimal(s)) => s,
+        other => panic!("case {case}: {what} solve did not end optimal: {other:?}"),
+    }
+}
+
+#[test]
+fn warm_solves_after_repricing_agree_with_cold_solves() {
+    let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+    let (obs, dl) = (Obs::disabled(), Deadline::none());
+    let (mut warm_solves, mut warm_pivots, mut cold_pivots) = (0, 0, 0);
+    for (case, p) in family().into_iter().enumerate() {
+        let mut lp = Lp::new(p);
+        if !matches!(lp.solve(&obs, &dl), Ok(Certified::Optimal(_))) {
+            assert!(!lp.is_warm(), "case {case}: a failed solve kept its basis");
+            continue;
+        }
+        // first the λ-sweep move (every bounded variable's cost scaled
+        // alike), then an independent positive factor per variable; signs
+        // are kept, so every re-priced LP stays bounded
+        for pass in 0..2 {
+            for j in 0..lp.problem().num_vars() {
+                let v = VarId(j);
+                let c = lp.problem().cost(v).unwrap();
+                let (_, hi) = lp.problem().bounds(v).unwrap();
+                let f = match pass {
+                    0 if hi.is_finite() => 4.0,
+                    0 => 1.0,
+                    _ => [0.25, 0.5, 2.0, 3.0][rng.below(4)],
+                };
+                lp.set_cost(v, c * f).unwrap();
+            }
+            assert!(lp.is_warm(), "case {case}: re-pricing dropped the basis");
+            let warm = optimal(lp.solve(&obs, &dl), case, "warm");
+            let cold = optimal(solve_certified(lp.problem()), case, "cold");
+            for (what, s) in [("warm", &warm), ("cold", &cold)] {
+                let r = check(lp.problem(), s);
+                assert!(r.ok(), "case {case} pass {pass} {what}: {:?}", r.violations);
+            }
+            assert!(
+                objectives_agree(warm.objective, cold.objective),
+                "case {case} pass {pass}: warm {} vs cold {}",
+                warm.objective,
+                cold.objective
+            );
+            warm_solves += 1;
+            warm_pivots += warm.iterations;
+            cold_pivots += cold.iterations;
+        }
+    }
+    // the family must exercise what it claims to
+    assert!(warm_solves >= 100, "{warm_solves} warm solves");
+    assert!(
+        2 * warm_pivots < cold_pivots,
+        "warm starts saved too little: {warm_pivots} vs {cold_pivots} cold pivots"
+    );
+}
+
+/// A handle's first solve is the cold solve: over the whole family its
+/// outcomes hash to the recorded run, and a solve after
+/// [`Lp::discard_basis`] repeats the free solve bit for bit.
+#[test]
+fn handle_cold_solves_are_bit_identical_to_the_recorded_run() {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let (obs, dl) = (Obs::disabled(), Deadline::none());
+    for (case, p) in family().into_iter().enumerate() {
+        let free = solve_certified(&p);
+        let mut lp = Lp::new(p);
+        let first = lp.solve(&obs, &dl);
+        assert_eq!(first, free, "case {case}: first handle solve");
+        hash_outcome(&mut h, &first);
+        if lp.is_warm() {
+            lp.discard_basis();
+            assert_eq!(
+                lp.solve(&obs, &dl),
+                free,
+                "case {case}: solve after discard"
+            );
+        }
+    }
+    assert_eq!(
+        h.0, EXPECTED,
+        "handle outcomes moved: hash {:#018x}, recorded {EXPECTED:#018x}",
+        h.0
+    );
+}
+
+/// Re-solving at unchanged costs finds the kept basis optimal at once:
+/// no pivot, and the same point, objective and certificate.
+#[test]
+fn resolving_at_unchanged_costs_takes_no_pivot() {
+    let (obs, dl) = (Obs::disabled(), Deadline::none());
+    let mut resolved = 0;
+    for (case, p) in family().into_iter().enumerate() {
+        let mut lp = Lp::new(p);
+        let Ok(Certified::Optimal(first)) = lp.solve(&obs, &dl) else {
+            continue;
+        };
+        let again = optimal(lp.solve(&obs, &dl), case, "unchanged");
+        assert_eq!(
+            again,
+            Solution {
+                iterations: 0,
+                ..first
+            },
+            "case {case}"
+        );
+        assert!(
+            lp.is_warm(),
+            "case {case}: an optimal warm solve keeps its basis"
+        );
+        resolved += 1;
+    }
+    assert!(resolved >= 56, "{resolved} optimal family LPs");
+}
+
+/// A solve that does not end optimal keeps no basis: re-pricing the LP
+/// and solving again starts cold, and repeats the free solve exactly.
+#[test]
+fn failed_solves_keep_no_basis() {
+    let (obs, dl) = (Obs::disabled(), Deadline::none());
+    let mut failed = 0;
+    for (case, p) in family().into_iter().enumerate() {
+        let mut lp = Lp::new(p);
+        let first = lp.solve(&obs, &dl);
+        if matches!(first, Ok(Certified::Optimal(_))) {
+            continue;
+        }
+        failed += 1;
+        assert!(!lp.is_warm(), "case {case}: {first:?} kept a basis");
+        if let Ok(Certified::Infeasible { ray }) = &first {
+            let r = check_infeasible(lp.problem(), ray);
+            assert!(r.ok(), "case {case}: {:?}", r.violations);
+        }
+        for j in 0..lp.problem().num_vars() {
+            let v = VarId(j);
+            let c = lp.problem().cost(v).unwrap();
+            lp.set_cost(v, 2.0 * c + 0.5).unwrap();
+        }
+        assert!(
+            !lp.is_warm(),
+            "case {case}: re-pricing made the handle warm"
+        );
+        let again = lp.solve(&obs, &dl);
+        assert_eq!(again, solve_certified(lp.problem()), "case {case}");
+        assert!(!matches!(again, Ok(Certified::Optimal(_))), "case {case}");
+    }
+    assert!(failed >= 2, "{failed} non-optimal family LPs");
+}
+
+/// The global phase's λ sweep on the global-shaped LPs, up and then back
+/// down, every point warm from the last: warm and cold optima agree, the
+/// way down revisits each λ's optimal objective, and the Δ spend
+/// `D = Σ(Δ⁺ + Δ⁻)` never grows with λ. For optima at λ₁ < λ₂, adding
+/// the two optimality inequalities gives `(λ₂ − λ₁)·(D₂ − D₁) ≤ 0`,
+/// whichever tied vertex each solve returns.
+#[test]
+fn lambda_sweep_trades_variation_for_delta_spend_monotonically() {
+    let (obs, dl) = (Obs::disabled(), Deadline::none());
+    let up = [0.02, 0.1, 0.4, 1.0, 3.0];
+    let mut swept = 0;
+    for (case, p) in family().into_iter().take(24).enumerate() {
+        // Δ⁺/Δ⁻ are the only variables with a finite upper bound
+        let deltas: Vec<VarId> = (0..p.num_vars())
+            .map(VarId)
+            .filter(|&v| p.bounds(v).unwrap().1.is_finite())
+            .collect();
+        let mut lp = Lp::new(p);
+        if !matches!(lp.solve(&obs, &dl), Ok(Certified::Optimal(_))) {
+            continue;
+        }
+        let lambdas: Vec<f64> = up.iter().chain(up.iter().rev().skip(1)).copied().collect();
+        let (mut spend, mut objective) = (Vec::new(), Vec::new());
+        for &lambda in &lambdas {
+            for &v in &deltas {
+                lp.set_cost(v, lambda).unwrap();
+            }
+            let warm = optimal(lp.solve(&obs, &dl), case, "warm");
+            let cold = optimal(solve_certified(lp.problem()), case, "cold");
+            let r = check(lp.problem(), &warm);
+            assert!(r.ok(), "case {case} λ {lambda}: {:?}", r.violations);
+            assert!(
+                objectives_agree(warm.objective, cold.objective),
+                "case {case} λ {lambda}: warm {} vs cold {}",
+                warm.objective,
+                cold.objective
+            );
+            spend.push(deltas.iter().map(|v| warm.x[v.0]).sum::<f64>());
+            objective.push(warm.objective);
+        }
+        for (i, w) in lambdas.windows(2).enumerate() {
+            let (d0, d1) = (spend[i], spend[i + 1]);
+            // D is non-increasing in λ, in either direction of the sweep
+            let grew = if w[1] > w[0] { d1 - d0 } else { d0 - d1 };
+            assert!(
+                grew <= 1e-6 * (1.0 + d0.abs().max(d1.abs())),
+                "case {case}: spend {d0} at λ {} but {d1} at λ {}",
+                w[0],
+                w[1]
+            );
+        }
+        let n = up.len();
+        for i in 0..n - 1 {
+            let (a, b) = (objective[i], objective[2 * n - 2 - i]);
+            assert!(
+                objectives_agree(a, b),
+                "case {case} λ {}: objective {a} going up, {b} coming down",
+                up[i]
+            );
+        }
+        swept += 1;
+    }
+    assert!(swept >= 16, "{swept} swept global-shaped LPs");
 }

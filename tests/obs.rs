@@ -2,13 +2,18 @@
 //! global-local run must emit a parseable JSONL stream that covers every
 //! flow phase, every global round and every local batch, with per-phase
 //! wall-clock totals that tile the flow span, and must mirror every
-//! absorbed fault as a fault event plus a flight-recorder dump.
+//! absorbed fault as a fault event plus a flight-recorder dump. Every
+//! metric a run emits is declared in the dictionary, and the counters
+//! account for the global phase's one LP per round: one cold solve per
+//! round, every later λ point warm. The decision ledger of a run replays
+//! to that run's tree.
 
 use std::sync::Arc;
 
 use clk_cts::{Testcase, TestcaseKind};
-use clk_obs::{json, Level, Obs, ObsConfig, SharedBuf, Value};
-use clk_skewopt::{try_optimize, FaultPlan, FaultSite, Flow, FlowConfig, OptReport};
+use clk_netlist::io::write_ctree;
+use clk_obs::{dict, json, ledger, AttrNode, Level, Obs, ObsConfig, SharedBuf, Value};
+use clk_skewopt::{replay_ledger, try_optimize, FaultPlan, FaultSite, Flow, FlowConfig, OptReport};
 use clockvar_workbench::quick_flow_config;
 
 /// Runs the quick global-local flow with a Debug-verbosity JSONL trace.
@@ -163,4 +168,84 @@ fn disabled_pipeline_emits_nothing_and_changes_nothing() {
     assert!(buf.contents().is_empty());
     assert!(obs.metrics_snapshot().is_none());
     assert!(report.variation_after <= report.variation_before);
+}
+
+#[test]
+fn traced_flow_emits_only_declared_metrics() {
+    let (_report, obs, _records) = traced_run(|_| {});
+    let snap = obs.metrics_snapshot().expect("enabled pipeline");
+    assert!(snap.iter().any(|(name, _)| name == "lp.warm_solves"));
+    let problems = dict::check_snapshot(&snap);
+    assert!(problems.is_empty(), "{problems:#?}");
+}
+
+/// Entries into every profiler scope named `name`, wherever it nests.
+fn scope_count(node: &AttrNode, name: &str) -> u64 {
+    let own = if node.name == name { node.count } else { 0 };
+    own + node
+        .children
+        .iter()
+        .map(|c| scope_count(c, name))
+        .sum::<u64>()
+}
+
+#[test]
+fn each_global_round_builds_one_lp_and_warm_starts_its_later_lambdas() {
+    let obs = Obs::new(ObsConfig {
+        profile: true,
+        ..ObsConfig::default()
+    });
+    let mut cfg = quick_flow_config();
+    cfg.global.rounds = 2;
+    cfg.global.lambdas = vec![0.05, 0.15, 0.3];
+    cfg.obs = obs.clone();
+    let tc = Testcase::generate(TestcaseKind::Cls1v1, 24, 77);
+    let report = try_optimize(&tc, Flow::Global, &cfg).expect("global flow completes");
+    let points = report.global_report.as_ref().map_or(0, |g| g.sweep.len()) as u64;
+    let count = |name: &str| obs.counter(name).map_or(0, |c| c.get());
+    let rounds = count("global.rounds");
+    assert!(
+        rounds >= 1 && points == 3 * rounds,
+        "{rounds} rounds, {points} points"
+    );
+    // every point solved on the as-built rung: one build per round, its
+    // first solve cold and every later one warm, with no fallback
+    assert_eq!(count("global.ladder.none"), points);
+    assert_eq!(count("lp.solves"), points);
+    assert_eq!(count("lp.warm_solves"), points - rounds);
+    assert_eq!(count("lp.warm_fallbacks"), 0);
+    let tree = obs.profiler().tree();
+    assert_eq!(scope_count(&tree, "global.lp_build"), rounds);
+}
+
+/// The decision ledger replays to the tree of the run that wrote it,
+/// through the full serialize → parse → replay path.
+#[test]
+fn ledger_replay_reproduces_the_recording_run() {
+    let obs = Obs::new(ObsConfig {
+        ledger: true,
+        ..ObsConfig::default()
+    });
+    let mut cfg = quick_flow_config();
+    cfg.global.rounds = 1;
+    cfg.local.max_iterations = 2;
+    cfg.obs = obs.clone();
+    let tc = Testcase::generate(TestcaseKind::Cls1v1, 24, 77);
+    let report = try_optimize(&tc, Flow::GlobalLocal, &cfg).expect("ledgered flow completes");
+    let recorded = write_ctree(&report.tree, &tc.lib);
+    assert_ne!(
+        recorded,
+        write_ctree(&tc.tree, &tc.lib),
+        "the run changed nothing"
+    );
+    let records = ledger::parse_jsonl(&obs.ledger().to_jsonl()).expect("ledger parses back");
+    assert!(!records.is_empty());
+    cfg.obs = Obs::disabled();
+    let replayed = replay_ledger(&tc.tree, &tc.lib, &tc.floorplan, &cfg, &records)
+        .expect("the ledger replays onto its input tree");
+    assert_eq!(
+        write_ctree(&replayed, &tc.lib),
+        recorded,
+        "replayed tree differs from the recorded run's"
+    );
 }

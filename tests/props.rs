@@ -339,3 +339,87 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// LP warm starts: a re-priced handle reaches the cold optimum
+// ---------------------------------------------------------------------------
+
+use clk_cert::{check, objectives_agree};
+use clk_lp::{solve_certified, Certified, Lp, Problem, RowKind, VarId};
+use clk_obs::{Deadline, Obs};
+
+/// A bounded LP with `nv` boxed variables and `nr` rows (`≤`, `≥` and
+/// `=` in turn), all satisfied by one interior point, so it is feasible
+/// and bounded under any costs.
+fn feasible_box(seed: u64, nv: usize, nr: usize) -> Problem {
+    let mut s = seed | 1;
+    let mut unit = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut p = Problem::new();
+    let mut x0 = Vec::with_capacity(nv);
+    let vars: Vec<VarId> = (0..nv)
+        .map(|_| {
+            let hi = 1.0 + 9.0 * unit();
+            x0.push(hi * (0.2 + 0.6 * unit()));
+            p.add_var(0.0, hi, 2.0 * unit() - 1.0).unwrap()
+        })
+        .collect();
+    for r in 0..nr {
+        let terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 4.0 * unit() - 2.0)).collect();
+        let at_x0: f64 = terms.iter().map(|&(v, a)| a * x0[v.0]).sum();
+        let slack = unit();
+        match r % 3 {
+            0 => p.add_row(RowKind::Le, at_x0 + slack, &terms),
+            1 => p.add_row(RowKind::Ge, at_x0 - slack, &terms),
+            _ => p.add_row(RowKind::Eq, at_x0, &terms),
+        }
+        .unwrap();
+    }
+    p
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Solving one LP under a sequence of cost vectors, each solve warm
+    /// from the last optimal basis, reaches the optimum a cold solve of
+    /// the same costs reaches: both solutions certify exactly, and the
+    /// objectives agree within the certificate tolerance.
+    #[test]
+    fn warm_solves_reach_the_cold_optimum(
+        seed in 0u64..1_000_000_000,
+        nv in 2usize..10,
+        nr in 1usize..10,
+        costs in prop::collection::vec(prop::collection::vec(-3.0f64..3.0, 10), 2..5),
+    ) {
+        let (obs, dl) = (Obs::disabled(), Deadline::none());
+        let mut lp = Lp::new(feasible_box(seed, nv, nr));
+        prop_assert!(matches!(lp.solve(&obs, &dl), Ok(Certified::Optimal(_))));
+        for c in &costs {
+            for (j, &cj) in c.iter().take(nv).enumerate() {
+                lp.set_cost(VarId(j), cj).unwrap();
+            }
+            prop_assert!(lp.is_warm());
+            let outcome = (lp.solve(&obs, &dl), solve_certified(lp.problem()));
+            let (Ok(Certified::Optimal(warm)), Ok(Certified::Optimal(cold))) = outcome else {
+                return Err(TestCaseError::fail(format!(
+                    "a feasible box must solve optimal both ways: {outcome:?}"
+                )));
+            };
+            for s in [&warm, &cold] {
+                let r = check(lp.problem(), s);
+                prop_assert!(r.ok(), "{:?}", r.violations);
+            }
+            prop_assert!(
+                objectives_agree(warm.objective, cold.objective),
+                "warm {} vs cold {}",
+                warm.objective,
+                cold.objective
+            );
+        }
+    }
+}
