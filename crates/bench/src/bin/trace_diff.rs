@@ -17,8 +17,9 @@
 //! `clk-qor` noise-band verdicts: counters and attribution *counts*
 //! are deterministic for a fixed seed, so they gate exactly (any count
 //! drift is `REGRESSED` when it grows, `improved` when it shrinks);
-//! durations and quantiles are informational. Two identical-seed runs
-//! therefore diff to zero regressions — the CI self-check.
+//! durations and quantiles are informational, and so is a key the base
+//! snapshot does not have at all (verdict `new`). Two identical-seed
+//! runs therefore diff to zero regressions — the CI self-check.
 //!
 //! ```sh
 //! cargo run --release -p clk-bench --bin trace-diff -- --quick --overhead
@@ -435,6 +436,18 @@ struct ProfDelta {
     base: f64,
     cur: f64,
     verdict: Verdict,
+    /// The base snapshot has no such key (an informational `new`).
+    new: bool,
+}
+
+impl ProfDelta {
+    fn verdict_str(&self) -> &'static str {
+        if self.new {
+            "new"
+        } else {
+            self.verdict.as_str()
+        }
+    }
 }
 
 fn verdict_of(base: f64, cur: f64, tol: Tolerance) -> Verdict {
@@ -469,12 +482,14 @@ fn diff_case(base: &CaseProfile, cur: &CaseProfile, out: &mut Vec<ProfDelta>) {
         direction: Direction::Info,
     };
     let id = &base.id;
-    let mut push = |key: String, b: f64, c: f64, tol: Tolerance| {
+    // a key missing from the base is new, never a regression from 0
+    let mut push = |key: String, b: Option<f64>, c: f64, tol: Tolerance| {
         out.push(ProfDelta {
             key,
-            base: b,
+            base: b.unwrap_or(0.0),
             cur: c,
-            verdict: verdict_of(b, c, tol),
+            verdict: b.map_or(Verdict::Info, |b| verdict_of(b, c, tol)),
+            new: b.is_none(),
         });
     };
     // counters: deterministic per seed, gate exactly
@@ -482,17 +497,17 @@ fn diff_case(base: &CaseProfile, cur: &CaseProfile, out: &mut Vec<ProfDelta>) {
     names.extend(cur.counters.iter().map(|(k, _)| k));
     names.sort();
     names.dedup();
-    let ctr = |cp: &CaseProfile, name: &str| -> f64 {
+    let ctr = |cp: &CaseProfile, name: &str| -> Option<f64> {
         cp.counters
             .iter()
             .find(|(k, _)| k == name)
-            .map_or(0.0, |(_, v)| *v as f64)
+            .map(|(_, v)| *v as f64)
     };
     for name in names {
         push(
             format!("{id}/counter.{name}"),
             ctr(base, name),
-            ctr(cur, name),
+            ctr(cur, name).unwrap_or(0.0),
             exact,
         );
     }
@@ -509,16 +524,21 @@ fn diff_case(base: &CaseProfile, cur: &CaseProfile, out: &mut Vec<ProfDelta>) {
         paths.extend(rc.iter().map(|(p, _)| p));
         paths.sort();
         paths.dedup();
-        let node = |rows: &[(String, &AttrNode)], p: &str| -> (f64, f64) {
+        let node = |rows: &[(String, &AttrNode)], p: &str| -> Option<(f64, f64)> {
             rows.iter()
                 .find(|(q, _)| q == p)
-                .map_or((0.0, 0.0), |(_, n)| (n.count as f64, n.total_ms()))
+                .map(|(_, n)| (n.count as f64, n.total_ms()))
         };
         for p in paths {
-            let (bc, bt) = node(&rb, p);
-            let (cc, ct) = node(&rc, p);
-            push(format!("{id}/{label}.{p}.count"), bc, cc, exact);
-            push(format!("{id}/{label}.{p}.total_ms"), bt, ct, info);
+            let b = node(&rb, p);
+            let (cc, ct) = node(&rc, p).unwrap_or((0.0, 0.0));
+            push(format!("{id}/{label}.{p}.count"), b.map(|n| n.0), cc, exact);
+            push(
+                format!("{id}/{label}.{p}.total_ms"),
+                b.map(|n| n.1),
+                ct,
+                info,
+            );
         }
     }
     // histogram sample counts gate; quantiles inform
@@ -532,8 +552,13 @@ fn diff_case(base: &CaseProfile, cur: &CaseProfile, out: &mut Vec<ProfDelta>) {
     for name in hnames {
         let b = hist(base, name);
         let c = hist(cur, name);
-        let count = |h: Option<&HistQ>| h.map_or(0.0, |h| h.count as f64);
-        push(format!("{id}/hist.{name}.count"), count(b), count(c), exact);
+        let count = |h: &HistQ| h.count as f64;
+        push(
+            format!("{id}/hist.{name}.count"),
+            b.map(count),
+            c.map_or(0.0, count),
+            exact,
+        );
         for (q, get) in [
             ("p50", (|h: &HistQ| h.p50) as fn(&HistQ) -> f64),
             ("p95", |h| h.p95),
@@ -541,7 +566,7 @@ fn diff_case(base: &CaseProfile, cur: &CaseProfile, out: &mut Vec<ProfDelta>) {
         ] {
             push(
                 format!("{id}/hist.{name}.{q}"),
-                b.map_or(0.0, get),
+                b.map(get),
                 c.map_or(0.0, get),
                 info,
             );
@@ -549,7 +574,7 @@ fn diff_case(base: &CaseProfile, cur: &CaseProfile, out: &mut Vec<ProfDelta>) {
     }
     push(
         format!("{id}/runtime_ms"),
-        base.runtime_ms,
+        Some(base.runtime_ms),
         cur.runtime_ms,
         info,
     );
@@ -570,7 +595,7 @@ fn diff_md(base: &ProfileSnapshot, cur: &ProfileSnapshot, deltas: &[ProfDelta]) 
         let moved = (d.cur - d.base).abs() > 1e-9;
         let gated = !matches!(d.verdict, Verdict::Info);
         let big_time = d.key.ends_with(".total_ms") && (d.cur - d.base).abs() >= 1.0;
-        let keep = (gated && moved) || big_time || d.key.ends_with("/runtime_ms");
+        let keep = (gated && moved) || d.new || big_time || d.key.ends_with("/runtime_ms");
         if !keep {
             continue;
         }
@@ -586,7 +611,7 @@ fn diff_md(base: &ProfileSnapshot, cur: &ProfileSnapshot, deltas: &[ProfDelta]) 
             d.base,
             d.cur,
             rel,
-            d.verdict.as_str()
+            d.verdict_str()
         );
     }
     md
@@ -767,7 +792,7 @@ fn diff_mode(args: &Args, base_path: &str, cur_path: &str) -> Result<ExitCode, E
                             ("key".to_string(), Value::from(d.key.as_str())),
                             ("base".to_string(), num(d.base)),
                             ("cur".to_string(), num(d.cur)),
-                            ("verdict".to_string(), Value::from(d.verdict.as_str())),
+                            ("verdict".to_string(), Value::from(d.verdict_str())),
                         ])
                     })
                     .collect(),
@@ -818,5 +843,49 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(code) | Err(code) => code,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn case(counters: &[(&str, u64)]) -> CaseProfile {
+        CaseProfile {
+            id: "CLS1v1".to_string(),
+            runtime_ms: 1.0,
+            profile: AttrNode::root(),
+            spans: AttrNode::root(),
+            counters: counters.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+            hists: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn a_key_missing_from_the_base_is_new_not_regressed() {
+        let base = case(&[("lp.pivots", 10), ("lp.solves", 4)]);
+        let cur = case(&[("lp.pivots", 12), ("lp.solves", 4), ("lp.warm_solves", 6)]);
+        let mut deltas = Vec::new();
+        diff_case(&base, &cur, &mut deltas);
+        let of = |key: &str| {
+            deltas
+                .iter()
+                .find(|d| d.key == format!("CLS1v1/counter.{key}"))
+                .expect("key compared")
+        };
+        let warm = of("lp.warm_solves");
+        assert_eq!((warm.base, warm.cur), (0.0, 6.0));
+        assert_eq!(warm.verdict, Verdict::Info);
+        assert_eq!(warm.verdict_str(), "new");
+        // keys present in both snapshots still gate exactly
+        assert_eq!(of("lp.pivots").verdict, Verdict::Regressed);
+        assert_eq!(of("lp.solves").verdict, Verdict::Neutral);
+        assert_eq!(
+            deltas
+                .iter()
+                .filter(|d| d.verdict == Verdict::Regressed)
+                .count(),
+            1
+        );
     }
 }

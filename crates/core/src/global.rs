@@ -15,7 +15,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use clk_liberty::{CellId, CornerId, Library};
 use clk_lp::{Certified, Lp, LpError, Problem, RowKind, Solution, VarId};
-use clk_netlist::{Arc, ArcId, ArcSet, ClockTree, Floorplan, NodeId, NodeKind, SinkPair};
+use clk_netlist::{
+    Arc, ArcId, ArcSet, Checkpoint, ClockTree, Floorplan, NodeId, NodeKind, SinkPair,
+};
 use clk_obs::{kv, Deadline, LedgerRecord, Level, Obs};
 use clk_route::RoutePath;
 use clk_sta::{
@@ -1446,9 +1448,13 @@ fn execute_eco(
             .map(|k| arc_d[k][aid.0 as usize] + deltas[k])
             .collect();
         let d_now: Vec<f64> = (0..n_corners).map(|k| arc_d[k][aid.0 as usize]).collect();
-        let backup = tree.clone();
-        if !realize_arc(tree, lib, fp, luts, timings, &arc, &d_lp, &d_now, cfg, obs) {
-            *tree = backup;
+        let backup = RebuildBackup::of(tree, &arc);
+        let rebuilt = {
+            let _realize_prof = obs.prof_scope("global.eco.realize");
+            realize_arc(tree, lib, fp, luts, timings, &arc, &d_lp, &d_now, cfg, obs)
+        };
+        if !rebuilt {
+            backup.restore(tree);
             obs.count("global.eco_unrealizable", 1);
             if obs.ledgering() {
                 obs.ledger_append(LedgerRecord::EcoArc {
@@ -1527,7 +1533,7 @@ fn execute_eco(
             changed += 1;
             obs.count("global.eco_accepted", 1);
         } else {
-            *tree = backup;
+            backup.restore(tree);
             obs.count("global.eco_rollback", 1);
         }
         if obs.ledgering() {
@@ -1546,6 +1552,37 @@ fn execute_eco(
     eco_span.record("arcs_kept", changed as u64);
     drop(eco_span);
     (changed, current, current_star)
+}
+
+/// What undoes one [`realize_arc`] rebuild: the slots of every node
+/// the rebuild rewires (the arc's junctions and its single-fanout
+/// interior buffers) and the node count, instead of a copy of the whole
+/// tree. Debug builds also keep the copy and check the undo against it.
+struct RebuildBackup {
+    checkpoint: Checkpoint,
+    #[cfg(debug_assertions)]
+    tree: ClockTree,
+}
+
+impl RebuildBackup {
+    fn of(tree: &ClockTree, arc: &Arc) -> Self {
+        let mut ids = vec![arc.from, arc.to];
+        ids.extend_from_slice(&arc.interior);
+        RebuildBackup {
+            checkpoint: tree.checkpoint(&ids),
+            #[cfg(debug_assertions)]
+            tree: tree.clone(),
+        }
+    }
+
+    fn restore(self, tree: &mut ClockTree) {
+        tree.rollback(self.checkpoint);
+        #[cfg(debug_assertions)]
+        assert!(
+            *tree == self.tree,
+            "undoing the rebuild did not restore the tree"
+        );
+    }
 }
 
 /// The golden re-timing of an ECO trial after [`realize_arc`] rebuilt
@@ -1696,14 +1733,15 @@ pub(crate) fn realize_arc(
     // *large* reconfiguration carries proportionally large model error,
     // and an unpenalized search happily exploits that noise.
     let mut best: Option<(f64, CellId, f64, usize)> = None; // (score, size, q, n_inv)
+    let mut d_est = vec![0.0; n_corners];
     let mut consider = |p: CellId, q: f64, n_inv: usize| {
         let route_len = (n_inv + 1) as f64 * q;
         if route_len < span * 0.999 || route_len > span + cfg.max_detour_um {
             return;
         }
-        let d_est: Vec<f64> = (0..n_corners)
-            .map(|k| d_now[k] + est(p, q, n_inv, k) - est_cur[k])
-            .collect();
+        for (k, d) in d_est.iter_mut().enumerate() {
+            *d = d_now[k] + est(p, q, n_inv, k) - est_cur[k];
+        }
         let mut err = 0.0;
         let mut distance = 0.0;
         for k in 0..n_corners {

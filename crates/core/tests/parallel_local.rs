@@ -6,19 +6,27 @@
 //! 2. **Worker-count invariance** — Algorithm 2 ranks the same candidate
 //!    list, commits the exact same move sequence (and produces the exact
 //!    same tree) and counts the same golden timings whether ranking and
-//!    candidate evaluation run on 1, 4, or 8 worker threads. The
+//!    candidate evaluation run on 1, 4, or 8 worker threads; the global
+//!    and global-local flows produce the same report, fault log, ledger
+//!    and counters on 1, 2 or 4, also when a poll-counted cut lands
+//!    inside a global round's λ sweep. The
 //!    ThreadSanitizer CI job runs this file under `-Zsanitizer=thread`.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use clk_cts::{Testcase, TestcaseKind};
 use clk_delay::WireModel;
+use clk_ml::MlpConfig;
 use clk_netlist::ClockTree;
-use clk_obs::{MetricValue, Obs, ObsConfig};
+use clk_obs::{EventKind, EventRecord, Level, MetricValue, Obs, ObsConfig, Sink};
 use clk_skewopt::local::{local_optimize_checked, LocalConfig, RankContext, Ranker};
 use clk_skewopt::predictor::Topo;
 use clk_skewopt::{
-    apply_move, enumerate_moves, touched_drivers, FaultCtx, Move, MoveConfig, PhaseBudget,
+    apply_move, enumerate_moves, touched_drivers, try_optimize_with, DeltaLatencyModel, FaultCtx,
+    Flow, FlowConfig, GlobalConfig, ModelKind, Move, MoveConfig, PhaseBudget, StageLuts,
+    TrainConfig,
 };
 use clk_sta::{alpha_factors, try_pair_skews, CornerTiming, Timer};
 use proptest::prelude::*;
@@ -278,5 +286,193 @@ fn ranking_stop_points_do_not_depend_on_worker_count() {
             (all[..2].to_vec(), false),
             "{workers} workers, cut at the second block"
         );
+    }
+}
+
+/// The per-technology artifacts of the flow runs below (every Cls1v1
+/// testcase uses the same synthetic library), built once.
+fn artifacts() -> &'static (StageLuts, DeltaLatencyModel) {
+    static ART: OnceLock<(StageLuts, DeltaLatencyModel)> = OnceLock::new();
+    ART.get_or_init(|| {
+        let lib = Testcase::generate(TestcaseKind::Cls1v1, 8, 1).lib;
+        let train = TrainConfig {
+            n_cases: 6,
+            moves_per_case: 12,
+            mlp: MlpConfig {
+                epochs: 20,
+                ..MlpConfig::default()
+            },
+            ..TrainConfig::default()
+        };
+        (
+            StageLuts::characterize(&lib),
+            DeltaLatencyModel::train(&lib, ModelKind::Hsm, &train),
+        )
+    })
+}
+
+/// A small flow configuration with three λ points per global round.
+fn flow_cfg(workers: usize, obs: &Obs) -> FlowConfig {
+    FlowConfig {
+        global: GlobalConfig {
+            max_pairs: 30,
+            lambdas: vec![0.05, 0.15, 0.3],
+            rounds: 2,
+            ..GlobalConfig::default()
+        },
+        local: LocalConfig {
+            max_iterations: 2,
+            max_batches: 1,
+            workers,
+            ..LocalConfig::default()
+        },
+        obs: obs.clone(),
+        ..FlowConfig::default()
+    }
+}
+
+/// One flow run on seed `seed`: everything deterministic about it as
+/// text (the report's tree-outcome fields and phase reports, the fault
+/// log without timestamps, the tree, every obs counter, and the ledger
+/// bytes), plus the counters for targeted checks.
+fn flow_outcome(
+    flow: Flow,
+    seed: u64,
+    workers: usize,
+    trip: Option<u64>,
+) -> (String, BTreeMap<String, u64>) {
+    let tc = Testcase::generate(TestcaseKind::Cls1v1, 24, seed);
+    let obs = Obs::new(ObsConfig {
+        ledger: true,
+        ..ObsConfig::default()
+    });
+    let cfg = flow_cfg(workers, &obs);
+    if let Some(n) = trip {
+        cfg.cancel.trip_after_polls(n);
+    }
+    let (luts, model) = artifacts();
+    let r = try_optimize_with(&tc, flow, &cfg, Some(luts), Some(model)).expect("flow runs");
+    r.tree.validate().expect("final tree valid");
+    let mut out = format!(
+        "{:?}\n{:?}\n{:?}\n{:?}\n",
+        (
+            r.variation_after.to_bits(),
+            &r.local_skew_after,
+            r.cells_after,
+            r.power_after_mw.to_bits(),
+            r.area_after_um2.to_bits(),
+            r.partial,
+            &r.progress,
+        ),
+        r.global_report,
+        r.local_report,
+        tree_digest(&r.tree),
+    );
+    for f in r.faults.records() {
+        let _ = writeln!(
+            out,
+            "{} {} {} {} {}",
+            f.seq, f.phase, f.fault, f.action, f.detail
+        );
+    }
+    let counters: BTreeMap<String, u64> = obs
+        .metrics_snapshot()
+        .expect("obs enabled")
+        .into_iter()
+        .filter_map(|(name, v)| match v {
+            MetricValue::Counter(n) => Some((name, n)),
+            _ => None,
+        })
+        .collect();
+    let _ = writeln!(out, "{counters:?}");
+    out.push_str(&obs.ledger().to_jsonl());
+    (out, counters)
+}
+
+/// The report, the fault log, the tree, the ledger bytes and every
+/// counter are the same on 1, 2 and 4 workers, for the global flow
+/// alone and for the global-local flow.
+#[test]
+fn global_flows_are_deterministic_across_worker_counts() {
+    for flow in [Flow::Global, Flow::GlobalLocal] {
+        for seed in [2015u64, 7] {
+            let (base, counters) = flow_outcome(flow, seed, 1, None);
+            assert!(
+                counters.get("global.eco_accepted").is_some_and(|&n| n > 0),
+                "{flow} seed {seed}: no ECO arc was kept"
+            );
+            assert!(
+                counters.get("ledger.records").is_some_and(|&n| n > 0),
+                "{flow} seed {seed}: empty ledger"
+            );
+            for workers in [2usize, 4] {
+                let (got, _) = flow_outcome(flow, seed, workers, None);
+                assert_eq!(
+                    base, got,
+                    "{flow} seed {seed}: workers=1 vs workers={workers} diverged"
+                );
+            }
+        }
+    }
+}
+
+/// Records the token's poll count at every `global.ladder` event: the
+/// moment each λ point's solve returns.
+struct SolvePolls {
+    token: clk_obs::CancelToken,
+    polls: Arc<Mutex<Vec<u64>>>,
+}
+
+impl Sink for SolvePolls {
+    fn emit(&mut self, rec: &EventRecord) {
+        if rec.kind == EventKind::Event && rec.name == "global.ladder" {
+            if let Ok(mut p) = self.polls.lock() {
+                p.push(self.token.polls());
+            }
+        }
+    }
+}
+
+/// A poll-counted cut inside a round's λ sweep (inside the first λ's
+/// ECO) stops that trial's ECO and the sweep at the same point at every
+/// worker count and on every run.
+#[test]
+fn a_cut_inside_the_lambda_sweep_is_deterministic_across_worker_counts() {
+    let seed = 2015;
+    // calibrate: the global phase polls on one thread, so one
+    // single-worker run locates the sweep at any worker count
+    let obs = Obs::new(ObsConfig {
+        verbosity: Level::Debug,
+        ..ObsConfig::default()
+    });
+    let cfg = flow_cfg(1, &obs);
+    let polls = Arc::new(Mutex::new(Vec::new()));
+    obs.add_sink(Box::new(SolvePolls {
+        token: cfg.cancel.clone(),
+        polls: Arc::clone(&polls),
+    }));
+    let tc = Testcase::generate(TestcaseKind::Cls1v1, 24, seed);
+    try_optimize_with(&tc, Flow::Global, &cfg, Some(&artifacts().0), None).expect("flow runs");
+    let first_solved = polls.lock().expect("calibration polls")[0];
+    // the first λ's ECO polls once before each arc, right after the
+    // solve: the trip lands on one of its first arcs
+    let trip = first_solved + 2;
+
+    let (base, counters) = flow_outcome(Flow::Global, seed, 1, Some(trip));
+    assert!(base.contains("interrupted: true"), "the cut must interrupt");
+    assert!(
+        counters
+            .get("global.eco_interrupted")
+            .is_some_and(|&n| n > 0),
+        "the cut must stop the ECO sweep: {counters:?}"
+    );
+    for workers in [1usize, 2, 4] {
+        for _ in 0..2 {
+            let (got, _) = flow_outcome(Flow::Global, seed, workers, Some(trip));
+            assert_eq!(
+                base, got,
+                "cut at poll {trip}: workers=1 vs workers={workers} diverged"
+            );
+        }
     }
 }

@@ -27,36 +27,56 @@ pub struct NetTiming {
 impl NetTiming {
     /// Computes moments for every node of `tree` in O(n).
     pub fn analyze(tree: &RcTree) -> Self {
+        let mut nt = NetTiming {
+            m1: Vec::new(),
+            m2: Vec::new(),
+            total_cap_ff: 0.0,
+        };
+        nt.analyze_into(tree);
+        nt
+    }
+
+    /// [`NetTiming::analyze`] into `self`, reusing its buffers: `self`
+    /// afterwards equals `NetTiming::analyze(tree)`, whatever it held
+    /// before.
+    pub fn analyze_into(&mut self, tree: &RcTree) {
         let n = tree.node_count();
+        let (m1, m2) = (&mut self.m1, &mut self.m2);
         // Downstream capacitance per node (reverse topological order works
-        // because parents precede children).
-        let mut down_cap: Vec<f64> = (0..n).map(|i| tree.cap_ff(i)).collect();
+        // because parents precede children), held in `m2` until m1 is done.
+        let down_cap = &mut *m2;
+        down_cap.clear();
+        down_cap.extend((0..n).map(|i| tree.cap_ff(i)));
         for i in (1..n).rev() {
             let p = tree.parent(i).expect("non-root");
             down_cap[p] += down_cap[i];
         }
         // m1 (Elmore): m1(child) = m1(parent) + R_edge * downstream cap
-        let mut m1 = vec![0.0; n];
+        m1.clear();
+        m1.resize(n, 0.0);
         for i in 1..n {
             let p = tree.parent(i).expect("non-root");
             m1[i] = m1[p] + tree.res_kohm(i) * down_cap[i];
         }
-        // m̃2: same recursion with cap weights C·m1
-        let mut down_w: Vec<f64> = (0..n).map(|i| tree.cap_ff(i) * m1[i]).collect();
+        // m̃2: same recursion with cap weights C·m1; the weights are
+        // summed in place, and a forward pass then overwrites each node's
+        // weight with its m̃2 (a parent's slot already holds m̃2)
+        let down_w = &mut *m2;
+        for (i, w) in down_w.iter_mut().enumerate() {
+            *w = tree.cap_ff(i) * m1[i];
+        }
         for i in (1..n).rev() {
             let p = tree.parent(i).expect("non-root");
             down_w[p] += down_w[i];
         }
-        let mut m2 = vec![0.0; n];
+        if n > 0 {
+            m2[0] = 0.0;
+        }
         for i in 1..n {
             let p = tree.parent(i).expect("non-root");
-            m2[i] = m2[p] + tree.res_kohm(i) * down_w[i];
+            m2[i] = m2[p] + tree.res_kohm(i) * m2[i];
         }
-        NetTiming {
-            m1,
-            m2,
-            total_cap_ff: tree.total_cap_ff(),
-        }
+        self.total_cap_ff = tree.total_cap_ff();
     }
 
     /// Elmore delay from the driver to node `i`, ps.
@@ -127,6 +147,43 @@ mod tests {
     /// Single lumped RC: R = 1 kΩ, C = 10 fF at the far node.
     fn single_rc() -> RcTree {
         RcTree::from_raw(vec![None, Some(0)], vec![0.0, 1.0], vec![0.0, 10.0])
+    }
+
+    #[test]
+    fn reused_buffers_give_the_bits_of_fresh_ones() {
+        let rc = WireRc {
+            r_per_um: 2.0e-3,
+            c_per_um: 0.2,
+        };
+        // a branching 3-pin net, then a smaller 2-pin one into the same
+        // buffers: leftovers of the larger net must not leak
+        let mut big = WireTree::new(Point::new(0, 0));
+        let a = big.add_child(WireTree::ROOT, Point::new(40_000, 0));
+        let b = big.add_child(a, Point::new(40_000, 25_000));
+        let c = big.add_child(a, Point::new(70_000, 0));
+        let mut small = WireTree::new(Point::new(5_000, 5_000));
+        let d = small.add_child(WireTree::ROOT, Point::new(5_000, 17_000));
+        let mut wt = WireTree::new(Point::new(0, 0));
+        let mut rct = RcTree::extract(&big, rc, &[(b, 1.5), (c, 2.0)], 5.0);
+        let mut nt = NetTiming::analyze(&rct);
+        for (tree, loads) in [(&small, vec![(d, 0.7)]), (&big, vec![(b, 1.5), (c, 2.0)])] {
+            wt.reset(tree.point(WireTree::ROOT));
+            for i in tree.topo_order().skip(1) {
+                let p = tree.parent(i).expect("non-root");
+                wt.add_child(p, tree.point(i));
+            }
+            assert_eq!(&wt, tree);
+            rct.extract_into(&wt, rc, &loads, 5.0);
+            let fresh = RcTree::extract(tree, rc, &loads, 5.0);
+            assert_eq!(rct, fresh);
+            nt.analyze_into(&rct);
+            let fresh_nt = NetTiming::analyze(&fresh);
+            for i in 0..fresh.node_count() {
+                assert_eq!(nt.elmore_ps(i).to_bits(), fresh_nt.elmore_ps(i).to_bits());
+                assert_eq!(nt.m2(i).to_bits(), fresh_nt.m2(i).to_bits());
+            }
+            assert_eq!(nt, fresh_nt);
+        }
     }
 
     #[test]

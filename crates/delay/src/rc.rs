@@ -33,17 +33,44 @@ impl RcTree {
     /// Panics if `seg_max_um <= 0` or a load references a node out of
     /// range.
     pub fn extract(wt: &WireTree, rc: WireRc, loads: &[(usize, f64)], seg_max_um: f64) -> Self {
+        let mut tree = RcTree {
+            parent: Vec::new(),
+            res_kohm: Vec::new(),
+            cap_ff: Vec::new(),
+            wire_to_rc: Vec::new(),
+        };
+        tree.extract_into(wt, rc, loads, seg_max_um);
+        tree
+    }
+
+    /// [`RcTree::extract`] into `self`, reusing its buffers: `self`
+    /// afterwards equals `RcTree::extract(wt, rc, loads, seg_max_um)`,
+    /// whatever it held before.
+    ///
+    /// # Panics
+    ///
+    /// As [`RcTree::extract`].
+    pub fn extract_into(
+        &mut self,
+        wt: &WireTree,
+        rc: WireRc,
+        loads: &[(usize, f64)],
+        seg_max_um: f64,
+    ) {
         assert!(seg_max_um > 0.0, "segment pitch must be positive");
         let n = wt.node_count();
         let segs_of = |i: usize| ((wt.edge_len_um(i) / seg_max_um).ceil() as usize).max(1);
         // the driver node plus every edge's segments, sized up front
         let rc_nodes = 1 + wt.topo_order().skip(1).map(segs_of).sum::<usize>();
-        let mut tree = RcTree {
-            parent: Vec::with_capacity(rc_nodes),
-            res_kohm: Vec::with_capacity(rc_nodes),
-            cap_ff: Vec::with_capacity(rc_nodes),
-            wire_to_rc: vec![usize::MAX; n],
-        };
+        let tree = self;
+        tree.parent.clear();
+        tree.res_kohm.clear();
+        tree.cap_ff.clear();
+        tree.wire_to_rc.clear();
+        tree.parent.reserve(rc_nodes);
+        tree.res_kohm.reserve(rc_nodes);
+        tree.cap_ff.reserve(rc_nodes);
+        tree.wire_to_rc.resize(n, usize::MAX);
         tree.parent.push(None);
         tree.res_kohm.push(0.0);
         tree.cap_ff.push(0.0);
@@ -76,7 +103,6 @@ impl RcTree {
             assert_ne!(rc_node, usize::MAX, "load on unknown wire node");
             tree.cap_ff[rc_node] += cap;
         }
-        tree
     }
 
     /// Builds an RC tree directly from parent/R/C vectors (tests, synthetic

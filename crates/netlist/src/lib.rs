@@ -50,4 +50,4 @@ pub use arcs::{rebuild_arc, rebuild_arc_legalized, Arc, ArcId, ArcSet};
 pub use pairs::SinkPair;
 pub use place::Floorplan;
 pub use stats::TreeStats;
-pub use tree::{ClockTree, Node, NodeId, NodeKind, TreeError};
+pub use tree::{Checkpoint, ClockTree, Node, NodeId, NodeKind, TreeError};

@@ -30,7 +30,7 @@ pub enum NodeKind {
 }
 
 /// One instance in the clock tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Instance kind.
     pub kind: NodeKind,
@@ -41,6 +41,14 @@ pub struct Node {
     /// Routed path from the parent's location to this node's location;
     /// `None` only for the root.
     pub route: Option<RoutePath>,
+}
+
+/// The saved slots of a few nodes and the node count, taken by
+/// [`ClockTree::checkpoint`] and restored by [`ClockTree::rollback`].
+#[derive(Debug, Clone)]
+pub struct Checkpoint {
+    len: usize,
+    slots: Vec<(NodeId, Node, bool)>,
 }
 
 /// Errors reported by tree edits and by [`ClockTree::validate`].
@@ -83,7 +91,7 @@ impl std::error::Error for TreeError {}
 /// A routed, buffered clock tree.
 ///
 /// See the crate documentation for the modelling overview and an example.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClockTree {
     nodes: Vec<Node>,
     alive: Vec<bool>,
@@ -323,6 +331,52 @@ impl ClockTree {
         }
         self.alive[id.0 as usize] = false;
         Ok(())
+    }
+
+    /// Saves the slots of `ids` and the node count. An edit that
+    /// changes no other slot, and may add nodes, is then undone by
+    /// [`ClockTree::rollback`] at the cost of the saved slots rather
+    /// than a copy of the whole tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is out of range.
+    pub fn checkpoint(&self, ids: &[NodeId]) -> Checkpoint {
+        Checkpoint {
+            len: self.nodes.len(),
+            slots: ids
+                .iter()
+                .map(|&id| {
+                    let i = id.0 as usize;
+                    (id, self.nodes[i].clone(), self.alive[i])
+                })
+                .collect(),
+        }
+    }
+
+    /// Restores a [`ClockTree::checkpoint`]: drops the nodes added since
+    /// and writes the saved slots back. The tree equals the one the
+    /// checkpoint was taken of if the edits in between changed only the
+    /// saved slots and added nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree has fewer nodes than when the checkpoint was
+    /// taken.
+    pub fn rollback(&mut self, cp: Checkpoint) {
+        assert!(
+            cp.len <= self.nodes.len(),
+            "checkpoint of a larger tree ({} > {} nodes)",
+            cp.len,
+            self.nodes.len()
+        );
+        self.nodes.truncate(cp.len);
+        self.alive.truncate(cp.len);
+        for (id, node, alive) in cp.slots {
+            let i = id.0 as usize;
+            self.nodes[i] = node;
+            self.alive[i] = alive;
+        }
     }
 
     /// Whether `maybe_desc` lies strictly inside the subtree rooted at
@@ -618,6 +672,23 @@ mod tests {
         t.validate().unwrap();
         // source/sink cannot be removed this way
         assert!(t.remove_buffer(s1).is_err());
+    }
+
+    #[test]
+    fn rollback_undoes_a_chain_rebuild() {
+        let (mut t, b1, _, b2, s2) = small_tree();
+        let before = t.clone();
+        // the chain b1 → b2 → s2 rebuilt with two new buffers
+        let cp = t.checkpoint(&[b1, b2, s2]);
+        t.remove_buffer(b2).unwrap();
+        let n1 = t.add_node(NodeKind::Buffer(cell()), Point::new(15_000, -5_000), b1);
+        let n2 = t.add_node(NodeKind::Buffer(cell()), Point::new(25_000, -5_000), n1);
+        t.set_parent(s2, n2).unwrap();
+        t.validate().unwrap();
+        assert_ne!(t, before);
+        t.rollback(cp);
+        assert_eq!(t, before);
+        t.validate().unwrap();
     }
 
     #[test]

@@ -35,6 +35,16 @@ impl WireTree {
         }
     }
 
+    /// Empties the tree down to a driver node at `driver`, keeping its
+    /// buffers: the same tree as [`WireTree::new`], for callers that
+    /// build one net after another.
+    pub fn reset(&mut self, driver: Point) {
+        self.pts.clear();
+        self.parent.clear();
+        self.pts.push(driver);
+        self.parent.push(None);
+    }
+
     /// Builds a pure chain following a routed two-pin path: one node per
     /// bend point. Returns the tree and the index of the far-end node.
     pub fn from_path(path: &RoutePath) -> (Self, usize) {

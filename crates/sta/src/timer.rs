@@ -405,6 +405,7 @@ impl Timer {
         let wire_rc = lib.wire_rc(corner);
 
         // Preorder walk: parents are timed before children.
+        let mut net = NetBuffers::default();
         let mut stack = vec![root];
         while let Some(d) = stack.pop() {
             // cooperative cancellation: one poll per driver net bounds
@@ -415,7 +416,7 @@ impl Timer {
             if tree.children(d).is_empty() {
                 continue;
             }
-            self.time_net(tree, lib, wire_rc, corner, d, &mut out)?;
+            self.time_net(tree, lib, wire_rc, corner, d, &mut out, &mut net)?;
             stack.extend_from_slice(tree.children(d));
         }
         assemble(tree, lib, &mut out)?;
@@ -427,6 +428,9 @@ impl Timer {
     /// into `out`. Aggregates (caps, violations) are deliberately NOT
     /// updated here — [`assemble`] recomputes them in one canonical walk
     /// so the full and incremental paths produce bit-identical results.
+    /// `net` holds the extraction buffers one analysis reuses net after
+    /// net.
+    #[allow(clippy::too_many_arguments)]
     fn time_net(
         &self,
         tree: &ClockTree,
@@ -435,15 +439,23 @@ impl Timer {
         corner: CornerId,
         d: NodeId,
         out: &mut CornerTiming,
+        net: &mut NetBuffers,
     ) -> Result<(), TimingError> {
         let children = tree.children(d);
         // a cell-less driver is reported before any of its routes
         tree.cell(d).ok_or(TimingError::NoDriverCell(d))?;
 
         // Build the fanout wire tree from the actual routed paths.
-        let mut wt = WireTree::new(tree.loc(d));
-        let mut ends = Vec::with_capacity(children.len());
-        let mut loads = Vec::with_capacity(children.len());
+        let NetBuffers {
+            wt,
+            rct,
+            nt,
+            ends,
+            loads,
+        } = net;
+        wt.reset(tree.loc(d));
+        ends.clear();
+        loads.clear();
         for &c in children {
             let route = tree
                 .node(c)
@@ -462,12 +474,12 @@ impl Timer {
             ends.push((c, prev));
             loads.push((prev, pin_cap));
         }
-        let rct = RcTree::extract(&wt, wire_rc, &loads, self.opts.seg_max_um);
-        let nt = NetTiming::analyze(&rct);
+        rct.extract_into(wt, wire_rc, loads, self.opts.seg_max_um);
+        nt.analyze_into(rct);
         let load = nt.total_cap_ff();
         out.load_ff[d.0 as usize] = load;
 
-        for (c, wnode) in ends {
+        for &(c, wnode) in ends.iter() {
             let rc_node = rct.rc_node_of_wire_node(wnode);
             out.wire_delay_ps[c.0 as usize] = nt.delay_ps(rc_node, self.opts.wire_model);
             out.wire_slew_ps[c.0 as usize] = nt.wire_slew_ps(rc_node);
@@ -538,45 +550,63 @@ impl Timer {
                 .is_none_or(|a| !a.is_finite())
         };
 
-        // Worklist ordered by (depth, id): a net is recomputed only
-        // after every dirty ancestor net above it, so its input
-        // arrival/slew are final when it runs and each net runs at most
-        // once.
-        let mut pending: std::collections::BTreeSet<(u32, NodeId)> = dirty
+        // The dirty drivers by (depth, id), each the head of a preorder
+        // walk of the cone below it. A net is recomputed only after
+        // every dirty ancestor net above it: a shallower dirty head
+        // walks first, and inside a walk a net runs right after its
+        // driver's. Its input arrival/slew are therefore final when it
+        // runs. A non-dirty net is reached only from its driver's net,
+        // so it runs at most once; a dirty one that an earlier walk
+        // reached is not walked again.
+        let mut heads: Vec<(u32, NodeId)> = dirty
             .iter()
             .filter_map(|&d| depth_of(tree, d).map(|dep| (dep, d)))
             .collect();
-        while let Some((dep, d)) = pending.pop_first() {
-            if self.deadline.expired() {
-                return Err(TimingError::Interrupted);
-            }
-            let children = tree.children(d);
-            if children.is_empty() {
-                // a driver that lost its whole fanout (type-III surgery)
-                // no longer presents a load
-                out.load_ff[d.0 as usize] = 0.0;
+        heads.sort_unstable();
+        heads.dedup();
+        let mut walked: Vec<NodeId> = Vec::with_capacity(heads.len());
+        let mut stack: Vec<NodeId> = Vec::new();
+        let mut before: Vec<(u64, u64)> = Vec::new();
+        let mut net = NetBuffers::default();
+        for (_, head) in heads {
+            if walked.contains(&head) {
                 continue;
             }
-            let before: Vec<(u64, u64)> = children
-                .iter()
-                .map(|&c| {
+            stack.push(head);
+            while let Some(d) = stack.pop() {
+                if self.deadline.expired() {
+                    return Err(TimingError::Interrupted);
+                }
+                let is_dirty = dirty.contains(&d);
+                if is_dirty {
+                    walked.push(d);
+                }
+                let children = tree.children(d);
+                if children.is_empty() {
+                    // a driver that lost its whole fanout (type-III
+                    // surgery) no longer presents a load
+                    out.load_ff[d.0 as usize] = 0.0;
+                    continue;
+                }
+                before.clear();
+                before.extend(children.iter().map(|&c| {
                     (
                         out.arrival_ps[c.0 as usize].to_bits(),
                         out.slew_ps[c.0 as usize].to_bits(),
                     )
-                })
-                .collect();
-            if dirty.contains(&d) || is_new(d) {
-                self.time_net(tree, lib, wire_rc, corner, d, &mut out)?;
-            } else {
-                drive_net(tree, lib, corner, d, &mut out)?;
-            }
-            *nodes_timed += children.len();
-            for (&c, (a0, s0)) in children.iter().zip(before) {
-                let changed = out.arrival_ps[c.0 as usize].to_bits() != a0
-                    || out.slew_ps[c.0 as usize].to_bits() != s0;
-                if changed {
-                    pending.insert((dep + 1, c));
+                }));
+                if is_dirty || is_new(d) {
+                    self.time_net(tree, lib, wire_rc, corner, d, &mut out, &mut net)?;
+                } else {
+                    drive_net(tree, lib, corner, d, &mut out)?;
+                }
+                *nodes_timed += children.len();
+                for (&c, &(a0, s0)) in children.iter().zip(&before) {
+                    let changed = out.arrival_ps[c.0 as usize].to_bits() != a0
+                        || out.slew_ps[c.0 as usize].to_bits() != s0;
+                    if changed {
+                        stack.push(c);
+                    }
                 }
             }
         }
@@ -628,6 +658,36 @@ impl Timer {
         lib.corner_ids()
             .map(|c| self.try_analyze(tree, lib, c))
             .collect()
+    }
+}
+
+/// The buffers one analysis extracts its nets into, reused net after
+/// net: the wire tree, its RC tree and moments, and the children's wire
+/// nodes and pin loads.
+struct NetBuffers {
+    wt: WireTree,
+    rct: RcTree,
+    nt: NetTiming,
+    ends: Vec<(NodeId, usize)>,
+    loads: Vec<(usize, f64)>,
+}
+
+impl Default for NetBuffers {
+    fn default() -> Self {
+        let wt = WireTree::new(clk_geom::Point::new(0, 0));
+        let rc = clk_liberty::WireRc {
+            r_per_um: 0.0,
+            c_per_um: 0.0,
+        };
+        let rct = RcTree::extract(&wt, rc, &[], 1.0);
+        let nt = NetTiming::analyze(&rct);
+        NetBuffers {
+            wt,
+            rct,
+            nt,
+            ends: Vec::new(),
+            loads: Vec::new(),
+        }
     }
 }
 

@@ -3,7 +3,8 @@
 //! panic-freedom of the checked flow entry points on corrupted
 //! testcases (the gate-or-typed-error contract).
 
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
 
 use proptest::prelude::*;
 
@@ -12,6 +13,7 @@ use clk_geom::Point;
 use clk_lint::LintLevel;
 use clk_netlist::io::write_ctree;
 use clk_netlist::{ClockTree, NodeId, SinkPair};
+use clk_obs::{EventKind, EventRecord, Level, Obs, ObsConfig, Sink};
 use clk_skewopt::predictor::Topo;
 use clk_skewopt::{
     global_optimize_checked, local_optimize_checked, try_optimize_with, Deadline, FaultCtx,
@@ -182,6 +184,84 @@ fn infeasible_round_lp_fails_every_lambda_point_of_its_round() {
         );
     }
     assert!(report.variation_after <= report.variation_before);
+}
+
+/// Has another thread cancel the flow the moment the first ECO arc of
+/// a λ trial finishes, and waits until it did; then counts the ECO arcs
+/// that finish after the cancellation.
+struct CancelOnFirstArc {
+    ask: mpsc::Sender<()>,
+    done: mpsc::Receiver<()>,
+    cancelled: Arc<AtomicBool>,
+    arcs_after: Arc<AtomicUsize>,
+}
+
+impl Sink for CancelOnFirstArc {
+    fn emit(&mut self, rec: &EventRecord) {
+        if rec.kind != EventKind::Event || rec.name != "eco.arc" {
+            return;
+        }
+        if self.cancelled.load(Ordering::SeqCst) {
+            self.arcs_after.fetch_add(1, Ordering::SeqCst);
+        } else {
+            let asked = self.ask.send(()).is_ok() && self.done.recv().is_ok();
+            self.cancelled.store(asked, Ordering::SeqCst);
+        }
+    }
+}
+
+/// An external `CancelToken::cancel()` from another thread while a λ
+/// trial's ECO is under way, one arc into it: the ECO stops within one
+/// more arc, the cut is logged and counted, and the flow returns a
+/// valid tree whose variation is no worse than the input's — the
+/// partial trial's arcs were each accepted against golden timing.
+#[test]
+fn external_cancel_stops_the_eco_within_one_arc() {
+    let tc = Testcase::generate(TestcaseKind::Cls1v1, 16, 9);
+    let obs = Obs::new(ObsConfig {
+        verbosity: Level::Trace,
+        ..ObsConfig::default()
+    });
+    let mut cfg = quick_cfg();
+    cfg.obs = obs.clone();
+    let (ask, asked) = mpsc::channel();
+    let (done_tx, done) = mpsc::channel();
+    let token = cfg.cancel.clone();
+    let canceller = std::thread::spawn(move || {
+        if asked.recv().is_ok() {
+            token.cancel();
+            let _ = done_tx.send(());
+        }
+    });
+    let cancelled = Arc::new(AtomicBool::new(false));
+    let arcs_after = Arc::new(AtomicUsize::new(0));
+    obs.add_sink(Box::new(CancelOnFirstArc {
+        ask,
+        done,
+        cancelled: Arc::clone(&cancelled),
+        arcs_after: Arc::clone(&arcs_after),
+    }));
+    let rep = try_optimize_with(&tc, Flow::Global, &cfg, Some(luts()), None)
+        .expect("a cancelled flow returns its best-so-far report");
+    canceller.join().expect("canceller thread");
+    assert!(cancelled.load(Ordering::SeqCst), "no ECO arc ever ran");
+    assert!(rep.partial, "the cancellation must cut the flow");
+    rep.tree.validate().expect("the returned tree is valid");
+    let late = arcs_after.load(Ordering::SeqCst);
+    assert!(late <= 1, "{late} ECO arcs finished after the cancel");
+    assert!(
+        rep.variation_after <= rep.variation_before,
+        "a partial trial made the tree worse: {} > {}",
+        rep.variation_after,
+        rep.variation_before
+    );
+    assert!(
+        rep.faults.of_kind(FaultKind::Cancelled).count() > 0,
+        "the cut is logged:\n{}",
+        rep.faults.to_text()
+    );
+    let cut = obs.counter("global.eco_interrupted").map_or(0, |c| c.get());
+    assert_eq!(cut, 1, "the ECO sweep is cut once");
 }
 
 /// A planted corruption: raw edit applied to a fresh testcase tree.
