@@ -1,6 +1,19 @@
 //! Bounded-variable revised primal simplex over an explicit basis
 //! inverse, stored column-major with an exact nonzero-row bitset per
-//! column so that ftran, btran and the eta update touch only nonzeros.
+//! column so that ftran, btran, the ratio test and the eta update touch
+//! only nonzeros.
+//!
+//! Pricing is incremental. The duals `y` and the reduced cost of every
+//! column are priced from scratch once per phase and then kept across
+//! pivots. A pivot on row `r` changes only the basis-inverse columns
+//! whose row `r` is nonzero and the basic cost of `r`, so only those
+//! columns' duals are recomputed, by the same dot product in the same
+//! row order as a full btran; every other dual sums the same values over
+//! the same rows and keeps its bits. Only the columns with an entry in a
+//! row whose dual changed bits are re-priced. Pricing therefore reads
+//! exactly the values a full re-price would compute, and the pivot
+//! sequence and every output bit are unchanged; debug builds re-price
+//! from scratch after every basis change and assert bit equality.
 
 use clk_obs::{kv, Deadline, Level, Obs, SIMPLEX_POLL_STRIDE};
 
@@ -361,6 +374,8 @@ struct PhaseStats {
     iters: usize,
     bound_flips: usize,
     degenerate: usize,
+    /// reduced costs computed by pricing
+    reduced_costs: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -393,29 +408,76 @@ struct Tableau {
     /// values of basic variables per row
     xb: Vec<f64>,
     m: usize,
+    /// row→column index of `cols`: the columns with an entry in row `i`
+    /// are `row_cols[row_start[i]..row_start[i + 1]]`, ascending
+    row_start: Vec<usize>,
+    row_cols: Vec<usize>,
 }
 
-/// Per-pivot buffers, allocated once per phase and reused.
+/// Pricing state and per-pivot buffers of one solve, kept across its
+/// pivots and phases.
 struct Work {
     /// duals `B⁻ᵀ c_B`
     y: Vec<f64>,
+    /// reduced cost `c_j − yᵀA_j` of every column, basic ones included
+    d: Vec<f64>,
     /// entering column `B⁻¹ A_j`
     w: Vec<f64>,
+    /// rows that may be nonzero in `w`: the union of the bitsets of the
+    /// columns of B⁻¹ that `A_j` touches
+    w_nz: Vec<u64>,
     /// basic cost of each row
     cb: Vec<f64>,
     /// rows whose basic cost is nonzero
     cb_nz: Vec<u64>,
+    /// columns of B⁻¹ the last eta update visited
+    touched: Vec<usize>,
+    /// rows whose dual changed bits in the last re-price
+    changed: Vec<usize>,
+    /// re-price in which each column's reduced cost was last recomputed
+    stamp: Vec<u64>,
+    /// re-prices so far
+    epoch: u64,
 }
 
 impl Work {
-    fn new(m: usize, words: usize) -> Self {
+    fn new(m: usize, words: usize, n: usize) -> Self {
         Work {
             y: vec![0.0; m],
+            d: vec![0.0; n],
             w: vec![0.0; m],
+            w_nz: vec![0; words],
             cb: vec![0.0; m],
             cb_nz: vec![0; words],
+            touched: Vec::new(),
+            changed: Vec::new(),
+            stamp: vec![0; n],
+            epoch: 0,
         }
     }
+}
+
+/// The row→column index of `cols` over `m` rows, as `(row_start,
+/// row_cols)`; see [`Tableau::row_cols`].
+// every row index of `cols` is below `m` by construction
+#[allow(clippy::indexing_slicing)]
+fn row_index(cols: &[Vec<(usize, f64)>], m: usize) -> (Vec<usize>, Vec<usize>) {
+    let mut row_start = vec![0; m + 1];
+    for &(r, _) in cols.iter().flatten() {
+        row_start[r + 1] += 1;
+    }
+    for i in 0..m {
+        row_start[i + 1] += row_start[i];
+    }
+    let mut next = row_start.clone();
+    let mut row_cols = vec![0; row_start[m]];
+    for (j, col) in cols.iter().enumerate() {
+        for &(r, _) in col {
+            row_cols[next[r]] = j;
+            next[r] += 1;
+        }
+    }
+    (row_start, row_cols)
 }
 
 /// A tableau between solves, its basis inverse packed to the nonzero
@@ -516,23 +578,46 @@ impl Tableau {
         &self.nz[k * self.words..(k + 1) * self.words]
     }
 
+    /// The columns with an entry in row `i`, ascending.
+    fn row_cols(&self, i: usize) -> &[usize] {
+        &self.row_cols[self.row_start[i]..self.row_start[i + 1]]
+    }
+
     /// w = B⁻¹ · A_j, scattering only the nonzeros of the columns of B⁻¹
-    /// that A_j touches. Each w[i] sums its terms in the order of A_j's
-    /// entries; a skipped term is a ±0 that leaves the sum unchanged.
-    fn ftran(&self, j: usize, w: &mut [f64]) {
+    /// that A_j touches, and `w_nz` = the union of their bitsets. Each
+    /// w[i] sums its terms in the order of A_j's entries; a skipped term
+    /// is a ±0 that leaves the sum unchanged, and a row outside `w_nz`
+    /// stays exactly 0.
+    fn ftran(&self, j: usize, w: &mut [f64], w_nz: &mut [u64]) {
         let m = self.m;
         w.fill(0.0);
+        w_nz.fill(0);
         for &(r, a) in &self.cols[j] {
             let col = &self.binv[r * m..(r + 1) * m];
-            each_bit(self.col_bits(r).iter().copied(), |i| w[i] += col[i] * a);
+            let bits = self.col_bits(r);
+            for (u, b) in w_nz.iter_mut().zip(bits) {
+                *u |= b;
+            }
+            each_bit(bits.iter().copied(), |i| w[i] += col[i] * a);
         }
     }
 
-    /// y = B⁻ᵀ · c_B for the given cost vector, into `work.y`. Each y[k]
-    /// is a dot product over the rows that are nonzero in column k and
-    /// carry a nonzero basic cost, in ascending row order.
-    fn btran(&self, cost: &[f64], work: &mut Work) {
+    /// Dual `y[k]` of column k of B⁻¹: a dot product over the rows that
+    /// are nonzero in column k and carry a nonzero basic cost, in
+    /// ascending row order.
+    fn dual(&self, k: usize, cb: &[f64], cb_nz: &[u64]) -> f64 {
         let m = self.m;
+        let col = &self.binv[k * m..(k + 1) * m];
+        let mut acc = 0.0;
+        let live = self.col_bits(k).iter().zip(cb_nz).map(|(a, b)| a & b);
+        each_bit(live, |i| acc += cb[i] * col[i]);
+        acc
+    }
+
+    /// Prices from scratch: the basic costs, y = B⁻ᵀ · c_B by btran, and
+    /// the reduced cost of every column. Returns the reduced costs
+    /// computed.
+    fn price(&self, cost: &[f64], work: &mut Work) -> usize {
         work.cb_nz.fill(0);
         for (i, cb) in work.cb.iter_mut().enumerate() {
             *cb = cost[self.basis[i]];
@@ -540,39 +625,92 @@ impl Tableau {
                 work.cb_nz[i / 64] |= 1 << (i % 64);
             }
         }
-        let (cb, cb_nz) = (&work.cb, &work.cb_nz);
-        for (k, yk) in work.y.iter_mut().enumerate() {
-            let col = &self.binv[k * m..(k + 1) * m];
-            let mut acc = 0.0;
-            let live = self.col_bits(k).iter().zip(cb_nz).map(|(a, b)| a & b);
-            each_bit(live, |i| acc += cb[i] * col[i]);
-            *yk = acc;
+        for k in 0..self.m {
+            work.y[k] = self.dual(k, &work.cb, &work.cb_nz);
         }
+        for j in 0..work.d.len() {
+            work.d[j] = self.reduced_cost(j, &work.y, cost);
+        }
+        work.d.len()
     }
 
-    /// [`Self::btran`] into a fresh vector.
-    fn duals(&self, cost: &[f64]) -> Vec<f64> {
-        let mut work = Work::new(self.m, self.words);
-        self.btran(cost, &mut work);
-        work.y
+    /// Re-prices after the basis change on row `r`: patches the basic
+    /// cost of `r`, recomputes the duals of the columns of B⁻¹ the eta
+    /// update visited, and recomputes the reduced cost of every column
+    /// with an entry in a row whose dual changed bits. Every other dual
+    /// and reduced cost reads the same values as before and keeps its
+    /// bits, so the result equals [`Self::price`] bit for bit. Returns
+    /// the reduced costs recomputed.
+    fn reprice(&self, r: usize, cost: &[f64], work: &mut Work) -> usize {
+        let cb = cost[self.basis[r]];
+        work.cb[r] = cb;
+        let bit = 1 << (r % 64);
+        if cb != 0.0 {
+            work.cb_nz[r / 64] |= bit;
+        } else {
+            work.cb_nz[r / 64] &= !bit;
+        }
+        work.changed.clear();
+        for &k in &work.touched {
+            let yk = self.dual(k, &work.cb, &work.cb_nz);
+            if yk.to_bits() != work.y[k].to_bits() {
+                work.y[k] = yk;
+                work.changed.push(k);
+            }
+        }
+        work.epoch += 1;
+        let mut priced = 0;
+        for &k in &work.changed {
+            for &j in self.row_cols(k) {
+                if work.stamp[j] != work.epoch {
+                    work.stamp[j] = work.epoch;
+                    work.d[j] = self.reduced_cost(j, &work.y, cost);
+                    priced += 1;
+                }
+            }
+        }
+        priced
+    }
+
+    /// Checks that the kept duals and reduced costs equal a pricing from
+    /// scratch, bit for bit.
+    #[cfg(debug_assertions)]
+    fn assert_priced(&self, cost: &[f64], work: &Work) {
+        let mut fresh = Work::new(self.m, self.words, work.d.len());
+        self.price(cost, &mut fresh);
+        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(u, v)| u.to_bits() == v.to_bits());
+        debug_assert!(
+            same(&fresh.cb, &work.cb) && fresh.cb_nz == work.cb_nz,
+            "kept basic costs differ from the basis"
+        );
+        debug_assert!(
+            same(&fresh.y, &work.y),
+            "kept duals differ from a full btran"
+        );
+        debug_assert!(
+            same(&fresh.d, &work.d),
+            "kept reduced costs differ from a full re-price"
+        );
     }
 
     /// Eta update of B⁻¹ for a pivot on row `r` with entering column
     /// `w = B⁻¹ A_j`: divide row r by the pivot and subtract `w[i]` times
     /// it from every other row i. Only the columns whose row-r entry is
-    /// nonzero are visited: in every other column, and in the rows with
-    /// `w[i] == 0` of a visited one, the update subtracts ±0, which can
-    /// flip the sign of a zero entry but never changes a nonzero value
-    /// or the outcome of a comparison.
-    fn eta_update(&mut self, r: usize, w: &[f64]) {
+    /// nonzero are visited, and they are listed in `touched`: in every
+    /// other column, and in the rows with `w[i] == 0` of a visited one,
+    /// the update subtracts ±0, which can flip the sign of a zero entry
+    /// but never changes a nonzero value or the outcome of a comparison.
+    fn eta_update(&mut self, r: usize, w: &[f64], touched: &mut Vec<usize>) {
         let (m, words) = (self.m, self.words);
         let piv = w[r];
         debug_assert!(piv.abs() > 1e-12, "pivot too small");
+        touched.clear();
         for k in 0..m {
             if self.nz[k * words + r / 64] >> (r % 64) & 1 == 0 {
                 debug_assert!(self.binv[k * m + r] == 0.0, "stale bit of column {k}");
                 continue;
             }
+            touched.push(k);
             let col = &mut self.binv[k * m..(k + 1) * m];
             let brk = col[r] / piv;
             for (c, &f) in col.iter_mut().zip(w) {
@@ -606,7 +744,9 @@ impl Tableau {
         d
     }
 
-    /// One simplex phase over the given costs. Returns the pivot stats.
+    /// One simplex phase over the given costs. Returns the pivot stats;
+    /// on an optimal return `work` holds the duals and reduced costs of
+    /// the final basis.
     // `lo == hi` is an exact fixed-variable test: equal bounds are set
     // bit-identically at construction, never computed
     #[allow(clippy::float_cmp)]
@@ -616,14 +756,16 @@ impl Tableau {
         max_iters: usize,
         obs: &Obs,
         deadline: &Deadline,
+        work: &mut Work,
     ) -> Result<PhaseStats, LpError> {
         let mut stats = PhaseStats::default();
         let mut degen_streak = 0usize;
         let n = self.cols.len();
-        let mut work = Work::new(self.m, self.words);
-        // a bound flip changes neither the basis nor the costs, so the
-        // duals of the previous pivot stay valid
-        let mut y_stale = true;
+        // the phase's costs are new, so the first pricing is from
+        // scratch; after that only a basis change (not a bound flip)
+        // moves a dual, and `pivoted` holds its row until the next pricing
+        let mut priced = false;
+        let mut pivoted: Option<usize> = None;
         loop {
             if stats.iters >= max_iters {
                 return Err(LpError::IterationLimit);
@@ -644,11 +786,14 @@ impl Tableau {
                 &self.cost
             };
             let pricing_prof = obs.prof_scope("pricing");
-            if y_stale {
-                self.btran(cost, &mut work);
-                y_stale = false;
+            if !priced {
+                stats.reduced_costs += self.price(cost, work);
+                priced = true;
+            } else if let Some(r) = pivoted.take() {
+                stats.reduced_costs += self.reprice(r, cost, work);
+                #[cfg(debug_assertions)]
+                self.assert_priced(cost, work);
             }
-            let y = &work.y;
             // --- pricing ---
             let bland = degen_streak > 2 * self.m + 20;
             let mut enter: Option<(usize, f64, f64)> = None; // (var, dir, |d|)
@@ -659,7 +804,7 @@ impl Tableau {
                 if self.lo[j] == self.hi[j] {
                     continue; // fixed
                 }
-                let d = self.reduced_cost(j, y, cost);
+                let d = work.d[j];
                 let dir = match self.state[j] {
                     State::AtLower if d < -TOL => 1.0,
                     State::AtUpper if d > TOL => -1.0,
@@ -698,7 +843,7 @@ impl Tableau {
             }
             // --- ratio test ---
             let ratio_prof = obs.prof_scope("ratio_test");
-            self.ftran(j, &mut work.w);
+            self.ftran(j, &mut work.w, &mut work.w_nz);
             let w = &work.w;
             // entering may move at most its own range before flipping
             let own_range = self.hi[j] - self.lo[j]; // may be inf
@@ -707,8 +852,11 @@ impl Tableau {
             } else {
                 f64::INFINITY
             };
+            // a row with w[i] == 0 bounds the step at ∞ and never leaves,
+            // so only the rows of `w_nz` are tested, in ascending order
             let mut leave: Option<usize> = None; // row index
-            for (i, &wi) in w.iter().enumerate() {
+            each_bit(work.w_nz.iter().copied(), |i| {
+                let wi = w[i];
                 let delta = -dir * wi; // change of x_B[i] per unit t
                 let b = self.basis[i];
                 let ti = if delta < -TOL {
@@ -731,7 +879,7 @@ impl Tableau {
                     t = ti;
                     leave = Some(i);
                 }
-            }
+            });
             drop(ratio_prof);
             if !t.is_finite() {
                 return Err(LpError::Unbounded);
@@ -786,8 +934,8 @@ impl Tableau {
                     } else {
                         State::FreeZero
                     };
-                    self.eta_update(r, w);
-                    y_stale = true;
+                    self.eta_update(r, w, &mut work.touched);
+                    pivoted = Some(r);
                     self.basis[r] = j;
                     self.state[j] = State::Basic;
                     self.xb[r] = entering_val;
@@ -815,9 +963,9 @@ pub fn solve(p: &Problem) -> Result<Solution, LpError> {
 ///
 /// When `obs` is enabled, each solve updates the `lp.*` metrics
 /// (`lp.solves`, `lp.pivots`, `lp.bound_flips`, `lp.degenerate_pivots`,
-/// the `lp.iters` histogram, and a failure counter per [`LpError`]
-/// variant) and, at `Trace` verbosity, emits one `lp.solve` span plus
-/// per-pivot `lp.pivot` events.
+/// `lp.reduced_costs`, the `lp.iters` histogram, and a failure counter
+/// per [`LpError`] variant) and, at `Trace` verbosity, emits one
+/// `lp.solve` span plus per-pivot `lp.pivot` events.
 ///
 /// # Errors
 ///
@@ -1164,6 +1312,7 @@ fn slack_start(p: &Problem, obs: &Obs) -> (Tableau, bool) {
         binv[row * m + row] = sign;
     }
     drop(refactor_prof);
+    let (row_start, row_cols) = row_index(&cols, m);
     let t = Tableau {
         cols,
         lo,
@@ -1177,6 +1326,8 @@ fn slack_start(p: &Problem, obs: &Obs) -> (Tableau, bool) {
         words,
         xb,
         m,
+        row_start,
+        row_cols,
     };
     (t, need_phase1)
 }
@@ -1195,7 +1346,7 @@ fn solve_inner(
 ) -> Result<Certified, LpError> {
     let m = p.num_rows();
     let n_struct = p.num_vars();
-    let (mut t, phase1) = match kept.as_mut().and_then(|k| k.take()) {
+    let (mut t, mut work, phase1) = match kept.as_mut().and_then(|k| k.take()) {
         Some(parked) => {
             let mut t = {
                 let _refactor_prof = obs.prof_scope("refactor");
@@ -1204,13 +1355,15 @@ fn solve_inner(
             // the kept basis is primal feasible for any costs: re-price
             // and go straight to phase 2
             t.cost[..n_struct].copy_from_slice(&p.cost);
-            (t, PhaseStats::default())
+            let work = Work::new(m, t.words, t.cols.len());
+            (t, work, PhaseStats::default())
         }
         None => {
             let (mut t, need_phase1) = slack_start(p, obs);
+            let mut work = Work::new(m, t.words, t.cols.len());
             let mut phase1 = PhaseStats::default();
             if need_phase1 {
-                phase1 = t.optimize(true, t.budget(), obs, deadline)?;
+                phase1 = t.optimize(true, t.budget(), obs, deadline, &mut work)?;
                 let infeas: f64 = (0..m)
                     .filter(|&i| t.basis[i] >= n_struct + m)
                     .map(|i| t.xb[i])
@@ -1220,9 +1373,8 @@ fn solve_inner(
                     // phase-1 duals witness the contradiction (yᵀb exceeds
                     // the maximum of yᵀAx over the bounds by exactly the
                     // residual infeasibility)
-                    let y = t.duals(&t.phase_cost);
                     return Ok(Certified::Infeasible {
-                        ray: FarkasRay { y },
+                        ray: FarkasRay { y: work.y },
                     });
                 }
                 // pin artificials to zero for phase 2
@@ -1234,7 +1386,7 @@ fn solve_inner(
                     }
                 }
             }
-            (t, phase1)
+            (t, work, phase1)
         }
     };
     let budget = t.budget();
@@ -1243,6 +1395,7 @@ fn solve_inner(
         budget.saturating_sub(phase1.iters).max(budget / 2),
         obs,
         deadline,
+        &mut work,
     )?;
     if obs.enabled() {
         obs.count(
@@ -1252,6 +1405,10 @@ fn solve_inner(
         obs.count(
             "lp.degenerate_pivots",
             (phase1.degenerate + phase2.degenerate) as u64,
+        );
+        obs.count(
+            "lp.reduced_costs",
+            (phase1.reduced_costs + phase2.reduced_costs) as u64,
         );
     }
 
@@ -1277,12 +1434,13 @@ fn solve_inner(
     // --- certificate: duals, reduced costs, and basis over the internal
     // (structural + slack) variable space; artificials are excluded and
     // rows still carrying a basic artificial (at value zero, i.e.
-    // numerically redundant) are recorded with the REDUNDANT_ROW sentinel
+    // numerically redundant) are recorded with the REDUNDANT_ROW sentinel;
+    // phase 2 ended with the duals and reduced costs of this basis
     let n_internal = n_struct + m;
-    let y = t.duals(&t.cost);
-    let reduced: Vec<f64> = (0..n_internal)
-        .map(|j| t.reduced_cost(j, &y, &t.cost))
-        .collect();
+    let Work {
+        y, d: mut reduced, ..
+    } = work;
+    reduced.truncate(n_internal);
     let status: Vec<VarStatus> = t.state[..n_internal]
         .iter()
         .map(|s| match s {
@@ -1462,7 +1620,8 @@ mod tests {
         let (mut t, need_phase1) = slack_start(&p, &Obs::disabled());
         assert!(need_phase1);
         let budget = t.budget();
-        t.optimize(true, budget, &Obs::disabled(), &Deadline::none())
+        let mut work = Work::new(t.m, t.words, t.cols.len());
+        t.optimize(true, budget, &Obs::disabled(), &Deadline::none(), &mut work)
             .unwrap();
         let (binv, nz) = (t.binv.clone(), t.nz.clone());
         assert!(binv.iter().filter(|v| **v != 0.0).count() > t.m);
@@ -1483,6 +1642,199 @@ mod tests {
         assert!(lp.is_warm());
         lp.discard_basis();
         assert!(!lp.is_warm());
+    }
+
+    /// FNV-1a over every bit a solve hands back: `x`, objective, pivot
+    /// count and the whole certificate, or the Farkas ray.
+    fn outcome_bits(c: &Certified) -> u64 {
+        fn word(h: &mut u64, w: u64) {
+            for b in w.to_le_bytes() {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        match c {
+            Certified::Optimal(s) => {
+                let cert = &s.certificate;
+                for v in s.x.iter().chain([&s.objective]).chain(&cert.y) {
+                    word(&mut h, v.to_bits());
+                }
+                for v in &cert.reduced {
+                    word(&mut h, v.to_bits());
+                }
+                word(&mut h, s.iterations as u64);
+                for &b in &cert.basis {
+                    word(&mut h, b as u64);
+                }
+                for &st in &cert.status {
+                    word(&mut h, st as u64);
+                }
+            }
+            Certified::Infeasible { ray } => {
+                for v in &ray.y {
+                    word(&mut h, v.to_bits());
+                }
+            }
+        }
+        h
+    }
+
+    /// The entering variable of every pivot of a traced solve of `p`,
+    /// with the solve's outcome.
+    fn traced_enters(p: &Problem) -> (Certified, Vec<usize>) {
+        use clk_obs::{ObsConfig, Value};
+        let obs = Obs::new(ObsConfig {
+            verbosity: Level::Trace,
+            ..ObsConfig::default()
+        });
+        let trace = clk_obs::SharedBuf::new();
+        obs.add_jsonl_buffer(&trace);
+        let out = solve_certified_with_obs(p, &obs).unwrap();
+        obs.flush();
+        let enters = trace
+            .contents()
+            .lines()
+            .filter_map(|l| clk_obs::json::parse(l).ok())
+            .filter(|v| v.get("name").and_then(Value::as_str) == Some("lp.pivot"))
+            .map(|v| {
+                let enter = v.get("fields").and_then(|f| f.get("enter"));
+                enter
+                    .and_then(Value::as_u64)
+                    .expect("pivot event names its column") as usize
+            })
+            .collect();
+        (out, enters)
+    }
+
+    #[test]
+    fn bland_rule_after_a_degenerate_streak_keeps_recorded_bits() {
+        // six boxed variables in four rows through the origin, where
+        // every basis change is degenerate, and two rows with room
+        let mut p = Problem::new();
+        let x: Vec<VarId> = (0..6)
+            .map(|i| p.add_var(0.0, 5.0, -0.25 - 0.1 * f64::from(i)).unwrap())
+            .collect();
+        for i in 0..4 {
+            let terms = [(x[i], 1.0), (x[i + 1], -1.0), (x[(i + 3) % 6], 0.5)];
+            p.add_row(RowKind::Le, 0.0, &terms).unwrap();
+        }
+        let all: Vec<(VarId, f64)> = x.iter().map(|&v| (v, 1.0)).collect();
+        p.add_row(RowKind::Le, 7.0, &all).unwrap();
+        p.add_row(RowKind::Le, 4.0, &[(x[3], 1.0), (x[5], 2.0)])
+            .unwrap();
+        // forty columns with a range below TOL and the steepest costs:
+        // Dantzig's rule flips them one by one, each a degenerate step,
+        // until the streak passes 2m + 20 = 32 and Bland's rule takes over
+        for k in 0..40 {
+            p.add_var(0.0, 1e-9, -(100.0 + f64::from(k))).unwrap();
+        }
+        let (out, enters) = traced_enters(&p);
+        assert!(enters[..33].iter().all(|&j| j >= 6), "{enters:?}");
+        assert!(
+            enters[33] < 6,
+            "Bland's rule picks the lowest index: {enters:?}"
+        );
+        let Certified::Optimal(s) = &out else {
+            panic!("the origin is feasible and the box bounded")
+        };
+        assert_eq!(
+            (s.iterations, outcome_bits(&out)),
+            (46, 0xb0e2_81eb_8bd7_d0e5)
+        );
+    }
+
+    #[test]
+    fn phase_two_after_pinned_artificials_keeps_recorded_bits() {
+        // Ge and Eq rows start on artificials; the repeated Eq row keeps
+        // one basic at zero into phase 2, recorded as REDUNDANT_ROW
+        let mut p = Problem::new();
+        let x: Vec<VarId> = (0..8)
+            .map(|i| p.add_var(0.0, 10.0, 1.0 + f64::from(i % 3)).unwrap())
+            .collect();
+        let free = p.add_var(-INF, INF, 0.5).unwrap();
+        for _ in 0..2 {
+            p.add_row(RowKind::Eq, 6.0, &[(x[0], 1.0), (x[1], 1.0), (x[2], 1.0)])
+                .unwrap();
+        }
+        for i in 0..6 {
+            let terms = [(x[i], 1.0), (x[i + 2], 2.0), (free, -1.0)];
+            p.add_row(RowKind::Ge, 3.0 + i as f64, &terms).unwrap();
+        }
+        p.add_row(RowKind::Eq, 1.0, &[(free, 1.0), (x[7], -1.0)])
+            .unwrap();
+        p.add_row(
+            RowKind::Le,
+            40.0,
+            &x.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let out = solve_certified(&p).unwrap();
+        let Certified::Optimal(s) = &out else {
+            panic!("the rows admit a point inside the box")
+        };
+        assert!(s.certificate.basis.contains(&REDUNDANT_ROW));
+        assert_eq!(
+            (s.iterations, outcome_bits(&out)),
+            (11, 0xe99c_27b1_e217_3714)
+        );
+    }
+
+    #[test]
+    fn warm_solves_after_set_cost_keep_recorded_bits() {
+        let (mut lp, vars) = reversible_chain(40);
+        let (obs, dl) = (Obs::disabled(), Deadline::none());
+        let first = lp.solve(&obs, &dl).unwrap();
+        for (i, &v) in vars.iter().enumerate() {
+            lp.set_cost(v, -1.0 - ((i * 7) % 11) as f64).unwrap();
+        }
+        let second = lp.solve(&obs, &dl).unwrap();
+        assert!(lp.is_warm());
+        let pivots = |c: &Certified| match c {
+            Certified::Optimal(s) => s.iterations,
+            Certified::Infeasible { .. } => panic!("the chain is feasible"),
+        };
+        assert_eq!([pivots(&first), pivots(&second)], [20, 11]);
+        assert_eq!(
+            [outcome_bits(&first), outcome_bits(&second)],
+            [0xaa13_edde_8e33_f578, 0x67c7_13a9_79f6_710c]
+        );
+    }
+
+    #[test]
+    fn bound_flips_between_basis_changes_keep_recorded_bits() {
+        use clk_obs::ObsConfig;
+        // unit boxes under a row that binds only after several of them
+        // have run to their upper bound
+        let mut p = Problem::new();
+        let x: Vec<VarId> = (0..12)
+            .map(|i| p.add_var(0.0, 1.0, -1.0 - f64::from(i % 5)).unwrap())
+            .collect();
+        p.add_row(
+            RowKind::Le,
+            5.5,
+            &x.iter().map(|&v| (v, 1.0)).collect::<Vec<_>>(),
+        )
+        .unwrap();
+        for i in 0..6 {
+            p.add_row(RowKind::Le, 1.5, &[(x[i], 1.0), (x[i + 6], 1.0)])
+                .unwrap();
+        }
+        let obs = Obs::new(ObsConfig::default());
+        let out = solve_certified_with_obs(&p, &obs).unwrap();
+        let flips = obs.counter("lp.bound_flips").map_or(0, |c| c.get());
+        let Certified::Optimal(s) = &out else {
+            panic!("the origin is feasible and the box bounded")
+        };
+        assert!(
+            flips > 0 && (s.iterations as u64) > flips,
+            "{flips} of {}",
+            s.iterations
+        );
+        assert_eq!(
+            (s.iterations, flips, outcome_bits(&out)),
+            (7, 4, 0xd012_9118_e701_e41a)
+        );
     }
 
     #[test]

@@ -92,6 +92,10 @@ pub const DICTIONARY: &[MetricDef] = &[
     ),
     c("lp.bound_flips", "nonbasic bound-flip iterations"),
     c("lp.degenerate_pivots", "pivots with zero primal step"),
+    c(
+        "lp.reduced_costs",
+        "reduced costs computed by pricing: every column at each phase start, then per pivot the columns that read a changed dual",
+    ),
     c("lp.infeasible", "solves proven infeasible"),
     c("lp.unbounded", "solves proven unbounded"),
     c("lp.iteration_limit", "solves hitting the pivot budget"),
@@ -101,7 +105,7 @@ pub const DICTIONARY: &[MetricDef] = &[
     h(
         "lp.cancel.ack_pivots",
         Unit::Count,
-        "pivots between expiry and acknowledgement",
+        "pivots the phase had run at the acknowledging poll, capped at the 16-pivot poll stride",
     ),
     // --- clk-sta: timer ---
     c(

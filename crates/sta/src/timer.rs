@@ -5,6 +5,7 @@ use clk_liberty::{CornerId, Library};
 use clk_netlist::{ArcSet, ClockTree, NodeId, NodeKind};
 use clk_obs::{Deadline, Obs};
 use clk_route::WireTree;
+use std::sync::OnceLock;
 
 /// The single place the documented panicking wrappers are allowed to
 /// abort from; everything else in the crate must return [`TimingError`].
@@ -12,6 +13,24 @@ use clk_route::WireTree;
 #[allow(clippy::panic)]
 fn die(e: TimingError) -> ! {
     panic!("{e}")
+}
+
+/// Corner ids whose `sta.corner.{id}.nodes_timed` key is formatted
+/// once per process; the libraries here have three or four corners.
+const KEYED_CORNERS: usize = 16;
+
+/// The `sta.corner.{id}.nodes_timed` key of `corner` if its id is below
+/// [`KEYED_CORNERS`]. Timers are built per candidate move, so the keys
+/// are shared by every timer instead of formatted per analysis.
+fn corner_nodes_key(corner: CornerId) -> Option<&'static str> {
+    static KEYS: OnceLock<Vec<String>> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        (0..KEYED_CORNERS)
+            .map(|i| format!("sta.corner.{i}.nodes_timed"))
+            .collect()
+    })
+    .get(corner.0)
+    .map(String::as_str)
 }
 
 /// Timing-analysis configuration.
@@ -383,8 +402,12 @@ impl Timer {
                 // corner's walk re-timed
                 let nodes_timed = nodes_timed as u64;
                 self.obs.count("sta.nodes_timed", nodes_timed);
-                self.obs
-                    .count(&format!("sta.corner.{}.nodes_timed", corner.0), nodes_timed);
+                match corner_nodes_key(corner) {
+                    Some(key) => self.obs.count(key, nodes_timed),
+                    None => self
+                        .obs
+                        .count(&format!("sta.corner.{}.nodes_timed", corner.0), nodes_timed),
+                }
                 self.obs.observe("sta.eval.nodes", nodes_timed as f64);
             }
             Err(_) => self.obs.count("sta.analyze.errors", 1),
