@@ -8,9 +8,9 @@
 //!
 //! [`Problem`] models `min cᵀx` subject to sparse linear rows
 //! (`≤`, `=`, `≥`) and per-variable bounds (± infinity allowed). [`solve`]
-//! runs a **bounded-variable revised primal simplex** with an explicit
-//! basis inverse, two-phase start (artificial variables), Dantzig
-//! pricing and a Bland anti-cycling fallback.
+//! runs a **bounded-variable revised primal simplex** with a two-phase
+//! start (artificial variables), Dantzig pricing and a Bland
+//! anti-cycling fallback.
 //!
 //! [`Lp`] solves one problem under a sequence of cost vectors. It keeps
 //! the tableau of its last optimal solve; after [`Lp::set_cost`], the next
@@ -19,16 +19,18 @@
 //! free `solve*` functions run the same code with nothing kept: one pivot
 //! loop serves both.
 //!
-//! The inverse is stored as a dense column-major m×m array with an exact
-//! bitset of nonzero rows per column. ftran scatters only the nonzeros
-//! of the columns the entering column touches, btran sums each dual over
-//! the nonzero rows that carry a basic cost, and the eta update visits
-//! only the columns whose pivot-row entry is nonzero. The pivot sequence
-//! and every output bit are those of a plain dense row-major inverse.
-//! Memory is still m² floats, which bounds practical problems to a few
-//! thousand rows; this workspace's scaled testcases stay inside that
-//! (about 370 rows per global LP at 12 sinks; the paper offloads its LP
-//! to a commercial solver, see DESIGN.md §4).
+//! The basis is kept in block form. Rows whose slack or artificial is
+//! basic need no inverse; the rest, and the basic structural columns,
+//! form a square kernel K, and only a dense K⁻¹ is stored (s×s with s
+//! the number of basic structurals, about 13% of the rows of the global
+//! LP). ftran and btran apply the basic structurals' other entries as
+//! sparse products, each basis change is one O(s²) update of K⁻¹, and
+//! K⁻¹ is refactored by Gauss–Jordan elimination every fixed number of
+//! updates. Memory is one min(m, n)² array for K⁻¹ plus the problem's
+//! nonzeros, so the paper-scale global LP (about 2 750 rows, 870
+//! columns and 380 basic structurals at 128 sinks) takes about 6 MB
+//! where an m² inverse took 60 MB; the paper offloads its LP to a
+//! commercial solver, see DESIGN.md §4.
 //!
 //! # Examples
 //!

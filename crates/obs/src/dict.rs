@@ -96,6 +96,10 @@ pub const DICTIONARY: &[MetricDef] = &[
         "lp.reduced_costs",
         "reduced costs computed by pricing: every column at each phase start, then per pivot the columns that read a changed dual",
     ),
+    c(
+        "lp.refactors",
+        "kernel inverses K⁻¹ rebuilt from scratch by Gauss–Jordan elimination",
+    ),
     c("lp.infeasible", "solves proven infeasible"),
     c("lp.unbounded", "solves proven unbounded"),
     c("lp.iteration_limit", "solves hitting the pivot budget"),

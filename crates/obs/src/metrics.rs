@@ -312,58 +312,55 @@ impl std::fmt::Debug for Registry {
 }
 
 impl Registry {
-    /// The counter registered under `name`, creating it if absent.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
+    /// The metric of kind `pick` registered under `name`, created by
+    /// `wrap` if absent. The name is looked up as a `&str`; a key is
+    /// allocated only when the metric is inserted.
+    fn metric<T: Default>(
+        &self,
+        name: &str,
+        wrap: fn(Arc<T>) -> Metric,
+        pick: fn(&Metric) -> Option<&Arc<T>>,
+    ) -> Arc<T> {
         let mut m = self
             .metrics
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
-        {
-            Metric::Counter(c) => Arc::clone(c),
-            _ => {
-                debug_assert!(false, "metric kind mismatch for {name}");
-                Arc::new(Counter::default())
-            }
+        if let Some(found) = m.get(name) {
+            return match pick(found) {
+                Some(metric) => Arc::clone(metric),
+                None => {
+                    debug_assert!(false, "metric kind mismatch for {name}");
+                    Arc::default()
+                }
+            };
         }
+        let metric = Arc::<T>::default();
+        m.insert(name.to_string(), wrap(Arc::clone(&metric)));
+        metric
+    }
+
+    /// The counter registered under `name`, creating it if absent.
+    pub fn counter(&self, name: &str) -> Arc<Counter> {
+        self.metric(name, Metric::Counter, |m| match m {
+            Metric::Counter(c) => Some(c),
+            _ => None,
+        })
     }
 
     /// The gauge registered under `name`, creating it if absent.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self
-            .metrics
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => {
-                debug_assert!(false, "metric kind mismatch for {name}");
-                Arc::new(Gauge::default())
-            }
-        }
+        self.metric(name, Metric::Gauge, |m| match m {
+            Metric::Gauge(g) => Some(g),
+            _ => None,
+        })
     }
 
     /// The histogram registered under `name`, creating it if absent.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut m = self
-            .metrics
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::default())))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
-            _ => {
-                debug_assert!(false, "metric kind mismatch for {name}");
-                Arc::new(Histogram::default())
-            }
-        }
+        self.metric(name, Metric::Histogram, |m| match m {
+            Metric::Histogram(h) => Some(h),
+            _ => None,
+        })
     }
 
     /// Snapshots every registered metric.
