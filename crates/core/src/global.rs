@@ -186,9 +186,9 @@ pub fn global_optimize(
 }
 
 /// [`global_optimize`] with an explicit local-skew guard baseline
-/// (ps per corner). `None` computes the baseline from the input tree;
-/// flows pass the *original* tree's skews so that multi-phase guards do
-/// not compound.
+/// (ps per corner). `None` computes the baseline once from the input
+/// tree, for every round; flows pass the *original* tree's skews so
+/// that multi-phase guards do not compound.
 ///
 /// # Panics
 ///
@@ -250,6 +250,20 @@ pub fn global_optimize_checked(
     ctx: &mut FaultCtx<'_>,
     budget: &PhaseBudget,
 ) -> Result<(ClockTree, GlobalReport), FlowError> {
+    // without an explicit baseline every round is guarded against the
+    // input tree's local skew, so the rounds' allowances do not compound
+    let own_baseline: Vec<f64>;
+    let guard_baseline = match guard_baseline {
+        Some(b) => b,
+        None => {
+            let timings = Timer::golden().try_analyze_all(tree, lib)?;
+            own_baseline = timings
+                .iter()
+                .map(|t| try_pair_skews(t, tree.sink_pairs()).map(|s| local_skew_ps(&s)))
+                .collect::<Result<_, _>>()?;
+            &own_baseline
+        }
+    };
     let mut current = tree.clone();
     let mut total: Option<GlobalReport> = None;
     let obs = ctx.obs.clone();
@@ -381,7 +395,7 @@ fn global_round(
     luts: &StageLuts,
     bounds: &[Option<RatioBounds>],
     cfg: &GlobalConfig,
-    guard_baseline: Option<&[f64]>,
+    guard_baseline: &[f64],
     ctx: &mut FaultCtx<'_>,
     round: usize,
 ) -> Result<(ClockTree, GlobalReport), FlowError> {
@@ -470,10 +484,6 @@ fn global_round(
     let mut best: Option<(ClockTree, f64, f64, usize, Option<f64>)> = None;
     let mut lp_iterations = 0usize;
     let mut sweep = Vec::with_capacity(cfg.lambdas.len());
-    let before_local: Vec<f64> = match guard_baseline {
-        Some(b) => b.to_vec(),
-        None => per_corner_skews.iter().map(|s| local_skew_ps(s)).collect(),
-    };
 
     let obs = ctx.obs.clone();
     // decision-ledger checkpoints are evaluated under the flow's
@@ -560,7 +570,7 @@ fn global_round(
                 &solution,
                 &all_pairs,
                 &alphas,
-                &before_local,
+                guard_baseline,
                 variation_before,
                 cfg,
                 &obs,
