@@ -16,9 +16,11 @@ use clk_liberty::{CellId, CornerId, Library};
 use clk_lp::{Problem, RowKind, VarId};
 use clk_netlist::{ArcId, ArcSet, ClockTree, Floorplan, NodeId, NodeKind, SinkPair};
 use clk_sta::{
-    alpha_factors, arc_delays_ps, local_skew_ps, pair_skews, variation_report, CornerTiming, Timer,
+    alpha_factors, arc_delays_ps, local_skew_ps, pair_skews, pair_skews_into, variation_report,
+    CornerTiming, Timer, TimingUndo,
 };
 
+use crate::global::RebuildBackup;
 use crate::lut::StageLuts;
 
 /// Per-arc (pos, neg) Δ split variables, one pair per corner.
@@ -178,8 +180,11 @@ pub fn worst_skew_optimize(
     // realize with the shared incremental ECO, accepting on worst-skew
     // improvement (the baseline's own metric)
     let mut out = tree.clone();
-    // the golden analysis of `out` as it stands
+    // the golden analysis of `out` as it stands, advanced in place by
+    // every rebuilt arc and taken back by `undo` when one is rejected
     let mut cur = timings.clone();
+    let mut undo = TimingUndo::default();
+    let mut skews = Vec::with_capacity(all_pairs.len());
     let mut changed = 0usize;
     let mut current_worst = worst_before;
     let mut todo: Vec<(f64, ArcId, Vec<f64>)> = involved
@@ -197,33 +202,35 @@ pub fn worst_skew_optimize(
         .filter(|(wst, ..)| *wst > 0.8)
         .collect();
     todo.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let mut d_lp = vec![0.0; n_corners];
+    let mut d_now = vec![0.0; n_corners];
     for (_, aid, deltas) in todo {
-        let arc = arcs.arc(aid).clone();
-        if !crate::global::arc_is_current(&out, &arc) {
+        let arc = arcs.arc(aid);
+        if !crate::global::arc_is_current(&out, arc) {
             continue;
         }
-        let d_lp: Vec<f64> = (0..n_corners)
-            .map(|k| arc_d[k][aid.0 as usize] + deltas[k])
-            .collect();
-        let d_now: Vec<f64> = (0..n_corners).map(|k| arc_d[k][aid.0 as usize]).collect();
-        let backup = out.clone();
+        for k in 0..n_corners {
+            d_now[k] = arc_d[k][aid.0 as usize];
+            d_lp[k] = arc_d[k][aid.0 as usize] + deltas[k];
+        }
+        let backup = RebuildBackup::of(&out, arc, &cur);
         if !crate::global::realize_arc_for_baseline(
-            &mut out, lib, fp, luts, &timings, &arc, &d_lp, &d_now,
+            &mut out, lib, fp, luts, &timings, arc, &d_lp, &d_now,
         ) {
-            out = backup;
+            backup.restore(&mut out);
             continue;
         }
-        let t_after = crate::global::retime_arc(&timer, &out, lib, &cur, &arc);
-        let worst = t_after
-            .iter()
-            .map(|t| local_skew_ps(&pair_skews(t, &all_pairs)))
-            .fold(0.0f64, f64::max);
+        crate::global::retime_arc(&timer, &out, lib, &mut cur, arc, &mut undo);
+        let mut worst = 0.0f64;
+        for t in &cur {
+            pair_skews_into(t, &all_pairs, &mut skews);
+            worst = worst.max(local_skew_ps(&skews));
+        }
         if worst < current_worst {
             current_worst = worst;
-            cur = t_after;
             changed += 1;
         } else {
-            out = backup;
+            backup.restore_timed(&mut out, &mut cur, &mut undo);
         }
     }
 

@@ -45,7 +45,9 @@ pub mod timer;
 
 pub use power::{clock_power, PowerReport};
 pub use skew::{
-    alpha_factors, local_skew_ps, pair_skews, skew_ratios, try_pair_skews, variation_report,
-    VariationReport,
+    alpha_factors, local_skew_ps, pair_skews, pair_skews_into, skew_ratios, try_pair_skews,
+    variation_report, VariationReport,
 };
-pub use timer::{arc_delays_ps, CornerTiming, Timer, TimerOptions, TimingError, Violation};
+pub use timer::{
+    arc_delays_ps, CornerTiming, Timer, TimerOptions, TimingError, TimingUndo, Violation,
+};

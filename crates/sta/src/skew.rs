@@ -13,10 +13,24 @@ use crate::timer::{CornerTiming, TimingError};
 /// Panics if a pair endpoint has no finite arrival; use
 /// [`try_pair_skews`] to get a [`TimingError`] instead.
 pub fn pair_skews(timing: &CornerTiming, pairs: &[SinkPair]) -> Vec<f64> {
-    pairs
-        .iter()
-        .map(|p| timing.arrival_ps(p.a) - timing.arrival_ps(p.b))
-        .collect()
+    let mut out = Vec::with_capacity(pairs.len());
+    pair_skews_into(timing, pairs, &mut out);
+    out
+}
+
+/// [`pair_skews`] into `out`, replacing what it held, so a caller that
+/// scores many trials reuses one buffer.
+///
+/// # Panics
+///
+/// As [`pair_skews`].
+pub fn pair_skews_into(timing: &CornerTiming, pairs: &[SinkPair], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(
+        pairs
+            .iter()
+            .map(|p| timing.arrival_ps(p.a) - timing.arrival_ps(p.b)),
+    );
 }
 
 /// Fallible variant of [`pair_skews`]: stops at the first pair endpoint
