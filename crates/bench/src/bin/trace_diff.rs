@@ -31,7 +31,8 @@
 //! Flags: `--quick`, `--seed N`, `--sinks N`, `--out PATH`,
 //! `--flame PATH`, `--md PATH`, `--overhead`, `--overhead-tol PCT`
 //! (default 3), `--coverage-tol FRAC` (default 0.9), `--base PATH`,
-//! `--cur PATH`.
+//! `--cur PATH`, `--help`. An unknown flag, a missing value or one that
+//! does not parse exits with status 2 before anything runs.
 
 // float arithmetic is the domain here; the workspace lint exists for
 // exact-arithmetic code (clk-cert escalates it to deny)
@@ -62,28 +63,57 @@ struct Args {
     cur: Option<String>,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let flag_val = |name: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == name)
-            .and_then(|i| argv.get(i + 1).cloned())
+const USAGE: &str = "usage: trace-diff [--quick] [--seed N] [--sinks N] [--out PATH] \
+[--flame PATH] [--md PATH] [--overhead] [--overhead-tol PCT] [--coverage-tol FRAC]
+       trace-diff --base PATH --cur PATH [--out PATH] [--md PATH]";
+
+/// Parses the arguments after the program name: `Ok(None)` for
+/// `--help`/`-h`, an error for an unknown flag, a missing value or a
+/// value that does not parse.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
+    let mut args = Args {
+        exp: ExpArgs {
+            sinks: None,
+            seed: 1,
+            quick: false,
+        },
+        out: None,
+        flame: "flame.folded".to_string(),
+        md: None,
+        overhead: false,
+        overhead_tol: 3.0,
+        coverage_tol: 0.9,
+        base: None,
+        cur: None,
     };
-    Args {
-        exp: ExpArgs::parse(),
-        out: flag_val("--out"),
-        flame: flag_val("--flame").unwrap_or_else(|| "flame.folded".to_string()),
-        md: flag_val("--md"),
-        overhead: argv.iter().any(|a| a == "--overhead"),
-        overhead_tol: flag_val("--overhead-tol")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(3.0),
-        coverage_tol: flag_val("--coverage-tol")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.9),
-        base: flag_val("--base"),
-        cur: flag_val("--cur"),
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--help" | "-h" => return Ok(None),
+            "--quick" => args.exp.quick = true,
+            "--overhead" => args.overhead = true,
+            _ => {
+                let val = it
+                    .next()
+                    .ok_or_else(|| format!("{flag} needs a value"))?
+                    .clone();
+                let bad = || format!("bad value for {flag}: {val}");
+                match flag.as_str() {
+                    "--seed" => args.exp.seed = val.parse().map_err(|_| bad())?,
+                    "--sinks" => args.exp.sinks = Some(val.parse().map_err(|_| bad())?),
+                    "--overhead-tol" => args.overhead_tol = val.parse().map_err(|_| bad())?,
+                    "--coverage-tol" => args.coverage_tol = val.parse().map_err(|_| bad())?,
+                    "--out" => args.out = Some(val),
+                    "--flame" => args.flame = val,
+                    "--md" => args.md = Some(val),
+                    "--base" => args.base = Some(val),
+                    "--cur" => args.cur = Some(val),
+                    _ => return Err(format!("unknown flag {flag}")),
+                }
+            }
+        }
     }
+    Ok(Some(args))
 }
 
 /// Everything captured from one profiled case run.
@@ -831,7 +861,18 @@ fn diff_mode(args: &Args, base_path: &str, cur_path: &str) -> Result<ExitCode, E
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("trace-diff: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let result = match (&args.base, &args.cur) {
         (Some(b), Some(c)) => diff_mode(&args, &b.clone(), &c.clone()),
         (None, None) => run_mode(&args),
@@ -848,6 +889,42 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<Option<Args>, String> {
+        parse_args(&args.iter().map(ToString::to_string).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn args_parse_strictly() {
+        // --help prints usage instead of running the suite
+        assert!(matches!(parse(&["--help"]), Ok(None)));
+        assert!(matches!(parse(&["--quick", "-h"]), Ok(None)));
+        let a = parse(&[
+            "--quick",
+            "--seed",
+            "7",
+            "--overhead",
+            "--overhead-tol",
+            "5",
+        ])
+        .unwrap()
+        .unwrap();
+        assert!(a.exp.quick && a.overhead);
+        assert_eq!(a.exp.seed, 7);
+        assert_eq!(a.overhead_tol.to_bits(), 5.0f64.to_bits());
+        assert_eq!(a.coverage_tol.to_bits(), 0.9f64.to_bits());
+        // unknown flags, missing and unparsable values are errors, not
+        // silent defaults
+        for bad in [
+            &["--verbose"][..],
+            &["--overhead-tol", "lots"],
+            &["--coverage-tol", "0.9x"],
+            &["--seed"],
+            &["--sinks", "-3"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} was accepted");
+        }
+    }
 
     fn case(counters: &[(&str, u64)]) -> CaseProfile {
         CaseProfile {
