@@ -196,8 +196,8 @@ fn main() -> ExitCode {
 /// `partial: true`, a valid lint-clean tree and an interrupted progress
 /// marker, or — when cut before any baseline exists — a typed
 /// interrupt error. Also covers the wall-clock trigger with a zero
-/// budget and checks the simplex cancellation-ack metric stays within
-/// the ≤64-pivot contract.
+/// budget. The simplex's acknowledgement within one poll stride is
+/// pinned by clk-lp's own deadline tests, which count pivots.
 fn cancellation_battery(tc: &Testcase, quick: bool) -> bool {
     let mut failed = false;
     let mut check = |ok: bool, what: &str| {
@@ -252,10 +252,8 @@ fn cancellation_battery(tc: &Testcase, quick: bool) -> bool {
     for &cut in &cuts {
         let token = CancelToken::new();
         token.trip_after_polls(cut);
-        let obs = Obs::new(ObsConfig::default());
         let mut cfg = base.clone();
         cfg.cancel = token.clone();
-        cfg.obs = obs.clone();
         match try_optimize_with(tc, Flow::GlobalLocal, &cfg, Some(&luts), Some(&model)) {
             Ok(rep) => {
                 check(rep.partial, &format!("cut@{cut}: report is partial"));
@@ -284,19 +282,6 @@ fn cancellation_battery(tc: &Testcase, quick: bool) -> bool {
                 e.is_interrupt(),
                 &format!("cut@{cut}: pre-baseline cut returns a typed interrupt ({e})"),
             ),
-        }
-        if let Some(MetricValue::Histogram(h)) = obs
-            .metrics_snapshot()
-            .as_ref()
-            .and_then(|s| s.get("lp.cancel.ack_pivots"))
-        {
-            check(
-                h.max <= 64.0,
-                &format!(
-                    "cut@{cut}: simplex acknowledged cancellation within 64 pivots (max {})",
-                    h.max
-                ),
-            );
         }
     }
 

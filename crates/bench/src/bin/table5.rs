@@ -12,23 +12,13 @@
 //! cargo run --release -p clk-bench --bin table5 -- [--sinks N] [--quick]
 //! ```
 
-use clk_bench::{suite_cases, ExpArgs, PreparedCase, Stopwatch};
+use clk_bench::{suite_cases, suite_config, ExpArgs, PreparedCase, Stopwatch};
 use clk_skewopt::Flow;
 
 fn main() {
     let args = ExpArgs::parse();
-    let n = args.sinks.unwrap_or(if args.quick { 48 } else { 128 });
-    let cfg = if args.quick {
-        clockvar_workbench::quick_flow_config()
-    } else {
-        // full defaults (deeper λ sweep, full ANN training), sized up
-        let mut cfg = clk_skewopt::FlowConfig::default();
-        cfg.global.max_pairs = 120;
-        cfg.local.max_iterations = 12;
-        cfg.train.n_cases = 60;
-        cfg.train.moves_per_case = 60;
-        cfg
-    };
+    let (default_n, cfg) = suite_config(args.quick);
+    let n = args.sinks.unwrap_or(default_n);
 
     let flows = [Flow::Global, Flow::Local, Flow::GlobalLocal];
     println!("Table 5: Experimental results ({n} sinks per testcase, scaled)");

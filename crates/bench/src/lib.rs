@@ -11,7 +11,7 @@
 
 pub mod suite;
 
-pub use suite::{suite_cases, PreparedCase, SuiteCase};
+pub use suite::{suite_cases, suite_config, PreparedCase, SuiteCase};
 
 use std::time::Instant;
 

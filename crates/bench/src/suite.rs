@@ -1,7 +1,7 @@
 //! The flow suite: the three scaled testcases behind Tables 4/5 and the
-//! QoR gate, with one shared prepare/run path so every consumer
-//! (`table4`, `table5`, `qor`) agrees on seeds, sizes and artifact
-//! reuse.
+//! report gate, with one shared size, configuration and prepare/run
+//! path so every consumer (`table4`, `table5`, `gate`) agrees on seeds,
+//! sizes and artifact reuse.
 
 use clk_cts::{Testcase, TestcaseKind};
 use clk_skewopt::{
@@ -33,6 +33,22 @@ pub fn suite_cases(base_seed: u64) -> Vec<SuiteCase> {
         seed: base_seed + i as u64,
     })
     .collect()
+}
+
+/// Sinks per testcase and flow configuration of the suite. The quick
+/// suite is 48 sinks under [`clockvar_workbench::quick_flow_config`];
+/// the full one is 128 sinks under the default flow with a 120-pair
+/// global LP, 12 local iterations and 60×60 predictor training.
+pub fn suite_config(quick: bool) -> (usize, FlowConfig) {
+    if quick {
+        return (48, clockvar_workbench::quick_flow_config());
+    }
+    let mut cfg = FlowConfig::default();
+    cfg.global.max_pairs = 120;
+    cfg.local.max_iterations = 12;
+    cfg.train.n_cases = 60;
+    cfg.train.moves_per_case = 60;
+    (128, cfg)
 }
 
 /// A generated testcase plus its per-technology artifacts, ready to run

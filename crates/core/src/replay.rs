@@ -8,9 +8,9 @@
 //! recording operated on exactly this committed-state trajectory —
 //! rejected candidates were rolled back to a bit-exact clone — and the
 //! golden timer and arc extraction are deterministic, so the replayed
-//! tree is bit-identical to the recorded run's output tree. The
-//! `waterfall --replay` gate asserts that by comparing the tree-outcome
-//! QoR snapshots byte for byte.
+//! tree is bit-identical to the recorded run's output tree. The report
+//! gate (`clk-bench --bin gate`) asserts that by comparing the
+//! tree-outcome QoR snapshots byte for byte.
 //!
 //! Replay requires the same [`FlowConfig`] the recording ran with: the
 //! ECO realization search reads `GlobalConfig` knobs (detour budget,

@@ -1224,12 +1224,7 @@ impl Tableau {
             }
             // cooperative cancellation: poll every SIMPLEX_POLL_STRIDE
             // pivots, so an expiry is acknowledged within one stride
-            // (well inside the ≤64-pivot contract of the chaos battery)
             if (stats.iters as u64).is_multiple_of(SIMPLEX_POLL_STRIDE) && deadline.expired() {
-                obs.observe(
-                    "lp.cancel.ack_pivots",
-                    (stats.iters as u64).min(SIMPLEX_POLL_STRIDE) as f64,
-                );
                 return Err(LpError::Interrupted);
             }
             let cost = if use_phase_cost {

@@ -254,15 +254,6 @@ pub fn trace_document(events: Vec<Value>) -> Value {
     ])
 }
 
-/// One-shot: JSONL trace text in, Chrome trace JSON text out.
-///
-/// # Errors
-///
-/// See [`trace_events_from_jsonl`].
-pub fn chrome_trace_from_jsonl(jsonl: &str) -> Result<String, String> {
-    Ok(trace_document(trace_events_from_jsonl(jsonl, 1)?).to_json())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,7 +303,7 @@ mod tests {
 
     #[test]
     fn spans_become_paired_b_e_events() {
-        let text = chrome_trace_from_jsonl(&traced_run()).unwrap();
+        let text = trace_document(trace_events_from_jsonl(&traced_run(), 1).unwrap()).to_json();
         let doc = json::parse(&text).unwrap();
         let events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();
         let b = events

@@ -6,8 +6,8 @@
 //!
 //! - **Runtime**: [`check_snapshot`] reports any metric present in a
 //!   [`MetricsSnapshot`] that is undeclared or declared with a
-//!   different kind. The `trace-diff --run` gate and the workbench
-//!   integration tests fail on a non-empty report.
+//!   different kind. The report gate (`clk-bench --bin gate`) and the
+//!   workbench integration tests fail on a non-empty report.
 //! - **Lexical**: `crates/bench/tests/dict.rs` scans the workspace
 //!   sources for metric-name literals at emission sites and fails on
 //!   names missing from the dictionary (*undeclared*) and on
@@ -106,11 +106,6 @@ pub const DICTIONARY: &[MetricDef] = &[
     c("lp.interrupted", "solves cut by a deadline/cancel"),
     c("lp.bad_problem", "solves rejected before pivoting"),
     h("lp.iters", Unit::Count, "pivots per successful solve"),
-    h(
-        "lp.cancel.ack_pivots",
-        Unit::Count,
-        "pivots the phase had run at the acknowledging poll, capped at the 16-pivot poll stride",
-    ),
     // --- clk-sta: timer ---
     c(
         "sta.analyzes",

@@ -1,7 +1,7 @@
 //! Minimal JSON value model, serializer and parser.
 //!
 //! The build environment is offline (no `serde`), so the JSONL sink and
-//! its consumers (`obs-report`, the chaos harness, round-trip tests)
+//! its consumers (the report gate, the chaos harness, round-trip tests)
 //! share this hand-rolled implementation. It covers exactly the JSON
 //! subset the event schema emits: objects, arrays, strings, finite
 //! numbers, booleans and null.

@@ -4,10 +4,10 @@
 //! were accepted; the ledger says *which decisions delivered the
 //! picoseconds*. Each global λ trial, each ECO arc accept/reject, and
 //! each local candidate evaluation appends one [`LedgerRecord`]. The
-//! waterfall tool (`clk-bench --bin waterfall`) reconciles the record
-//! stream against the end-to-end skew-variation delta, replays the
-//! accepted decisions for a byte-identical determinism audit, and
-//! diffs two ledgers decision-by-decision.
+//! report gate (`clk-bench --bin gate`) reconciles the record stream
+//! against the end-to-end skew-variation delta, replays the accepted
+//! decisions for a byte-identical determinism audit, and diffs two
+//! ledgers decision-by-decision.
 //!
 //! Contracts:
 //!

@@ -11,8 +11,8 @@
 //! Determinism contract: profiling never feeds back into any
 //! algorithmic decision. Scope *counts* and the tree *shape* are
 //! deterministic for a fixed seed; only the recorded durations vary
-//! run to run. `trace-diff` relies on exactly that split (counts are
-//! gated hard, times get noise bands).
+//! run to run. The report gate (`clk-bench --bin gate`) relies on exactly
+//! that split (counts are gated hard, times are informational).
 //!
 //! Scope nesting is tracked per thread (like spans): a scope opened on
 //! a worker thread roots its own subtree unless the worker opened an
@@ -409,90 +409,6 @@ pub fn from_folded(s: &str) -> AttrNode {
     root
 }
 
-/// Builds an attribution tree from a JSONL event stream's span
-/// records: every closed span contributes its `elapsed_ms` and one
-/// count at the path formed by its parent chain. Spans whose parent
-/// was filtered by verbosity root at the top; dangling spans (started,
-/// never closed) appear structurally with zero time.
-pub fn tree_from_jsonl(jsonl: &str) -> AttrNode {
-    struct Rec {
-        name: String,
-        parent: Option<u64>,
-        elapsed_ns: Option<u64>,
-    }
-    let mut spans: BTreeMap<u64, Rec> = BTreeMap::new();
-    for line in jsonl.lines() {
-        let Ok(v) = crate::json::parse(line) else {
-            continue;
-        };
-        let t = v.get("t").and_then(Value::as_str).unwrap_or("");
-        if t != "span_start" && t != "span_end" {
-            continue;
-        }
-        let Some(id) = v.get("span").and_then(Value::as_u64) else {
-            continue;
-        };
-        let name = v
-            .get("name")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string();
-        let parent = v.get("parent").and_then(Value::as_u64);
-        let rec = spans.entry(id).or_insert(Rec {
-            name,
-            parent,
-            elapsed_ns: None,
-        });
-        if t == "span_end" {
-            if let Some(ms) = v.get("elapsed_ms").and_then(Value::as_f64) {
-                rec.elapsed_ns = Some((ms.max(0.0) * 1e6) as u64);
-            }
-            if rec.parent.is_none() {
-                rec.parent = parent;
-            }
-        }
-    }
-    let mut root = AttrNode::root();
-    for (&id, rec) in &spans {
-        // path of names from the root down to this span
-        let mut path = vec![rec.name.as_str()];
-        let mut up = rec.parent;
-        let mut hops = 0;
-        while let Some(pid) = up {
-            if pid == id || hops > spans.len() {
-                break; // cycle guard for corrupt streams
-            }
-            let Some(p) = spans.get(&pid) else { break };
-            path.push(p.name.as_str());
-            up = p.parent;
-            hops += 1;
-        }
-        path.reverse();
-        let mut cur = &mut root;
-        for frame in &path {
-            let pos = match cur.children.iter().position(|c| c.name == **frame) {
-                Some(p) => p,
-                None => {
-                    cur.children.push(AttrNode {
-                        name: (*frame).to_string(),
-                        total_ns: 0,
-                        count: 0,
-                        children: Vec::new(),
-                    });
-                    cur.children.len() - 1
-                }
-            };
-            cur = &mut cur.children[pos];
-        }
-        if let Some(ns) = rec.elapsed_ns {
-            cur.total_ns = cur.total_ns.saturating_add(ns);
-            cur.count += 1;
-        }
-    }
-    root.sort();
-    root
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,30 +511,5 @@ mod tests {
             back.child("lp.solve").map(|n| n.total_ns),
             Some(tree.children[0].total_ns)
         );
-    }
-
-    #[test]
-    fn tree_from_jsonl_attributes_closed_spans() {
-        let jsonl = concat!(
-            r#"{"t":"span_start","seq":0,"ts_ms":0.0,"span":0,"level":"info","name":"flow"}"#,
-            "\n",
-            r#"{"t":"span_start","seq":1,"ts_ms":1.0,"span":1,"parent":0,"level":"info","name":"phase.global"}"#,
-            "\n",
-            r#"{"t":"span_end","seq":2,"ts_ms":5.0,"span":1,"parent":0,"level":"info","name":"phase.global","elapsed_ms":4.0}"#,
-            "\n",
-            r#"{"t":"span_start","seq":3,"ts_ms":5.0,"span":2,"parent":0,"level":"info","name":"dangling"}"#,
-            "\n",
-            r#"{"t":"span_end","seq":4,"ts_ms":9.0,"span":0,"level":"info","name":"flow","elapsed_ms":9.0}"#,
-            "\n",
-        );
-        let t = tree_from_jsonl(jsonl);
-        let flow = t.child("flow").expect("flow");
-        assert_eq!(flow.count, 1);
-        assert_eq!(flow.total_ns, 9_000_000);
-        let global = flow.child("phase.global").expect("global");
-        assert_eq!((global.count, global.total_ns), (1, 4_000_000));
-        // the dangling span is present structurally but carries no time
-        let dangling = flow.child("dangling").expect("dangling");
-        assert_eq!((dangling.count, dangling.total_ns), (0, 0));
     }
 }

@@ -81,7 +81,7 @@ impl Sink for JsonlSink {
 }
 
 /// A clonable in-memory byte buffer usable as a sink target — lets
-/// tests and `obs-report` capture a JSONL stream without touching the
+/// tests and the report gate capture a JSONL stream without touching the
 /// filesystem.
 #[derive(Debug, Clone, Default)]
 pub struct SharedBuf {

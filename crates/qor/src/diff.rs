@@ -1,6 +1,6 @@
 //! Noise-aware snapshot diffing: per-metric tolerance bands with
 //! improve / neutral / regress verdicts, and the text report the
-//! `clk-bench --bin qor` gate prints.
+//! `clk-bench --bin gate` prints.
 //!
 //! Gating rules:
 //!

@@ -18,7 +18,7 @@
 //!   the zero-dependency `clk_obs::json` model;
 //! * [`diff`] — a noise-aware differ with per-metric tolerance bands
 //!   and improve/neutral/regress verdicts, driving the
-//!   `clk-bench --bin qor` CI gate against a committed
+//!   `clk-bench --bin gate` CI gate against a committed
 //!   `qor-baseline.json`.
 //!
 //! ```
